@@ -9,13 +9,16 @@ p/n-edges locally via the memoized Case-1/Case-2 solvers
 global phase (:mod:`repro.core.consolidate`) will apply, so local Saving
 scores match the global outcome.
 
-Groups are independent: the Spark driver runs one worker per group via
-``groupBy("gid").applyInPandas`` (DESIGN.md §3.2). The same worker runs
-in-process for the ``engine="local"`` test path — results are identical
-by construction and covered by an equivalence test.
-
-Worker I/O is a tall DataFrame: (gid, kind, x, y, v) with kinds
-``root|node|hedge|pedge|ext|radj`` in, ``merge|pedge`` out.
+Groups are independent. Worker I/O is plain tuples: :func:`run_group`
+takes one group's bundle (see :data:`Bundle`) and returns the group's
+merges and intra-group p/n-edges as lists. A group with a single root
+cannot merge, so it returns its edges unchanged without building a
+worker. The local engine calls :func:`run_group` per group in-process;
+the Spark engine ships the bundles as one tall (gid, kind, x, y, v)
+DataFrame (:func:`tall_frame`, kinds ``root|node|hedge|pedge|ext|radj``)
+and runs :func:`run_group_pandas`, a thin adapter around the same
+function, via ``groupBy("gid").applyInPandas`` (DESIGN.md §3.2). Its
+output rows have kinds ``merge|pedge``.
 """
 from __future__ import annotations
 
@@ -28,7 +31,11 @@ import pandas as pd
 from . import localenc as L
 
 TALL_SCHEMA = "gid long, kind string, x long, y long, v long"
-OUT_SCHEMA = "gid long, kind string, x long, y long, v long"
+TALL_COLS = ["gid", "kind", "x", "y", "v"]
+
+# one group's worker input: (roots, nodes(x, size, root), hedges(parent,
+# child), pedges(x, y, sign), ext(member, external, sign), radj(a, b))
+Bundle = tuple[list, list, list, list, list, list]
 
 ID_BASE = 1 << 40  # internal supernode ids live above all subnode ids
 NO_MERGE = -10**18  # Saving sentinel for infeasible pairs
@@ -49,24 +56,20 @@ class GroupWorker:
     """Mutable in-memory state of one candidate set during Algorithm 2."""
 
     def __init__(self, gid: int, t: int, theta: float, seed: int, hb: int,
-                 roots: list[int], node_rows: pd.DataFrame,
-                 hedge_rows: pd.DataFrame, pedge_rows: pd.DataFrame,
-                 ext_rows: pd.DataFrame, radj_rows: pd.DataFrame):
+                 roots: list[int], nodes: list[tuple[int, int, int]],
+                 hedges: list[tuple[int, int]], pedges: list[tuple[int, int, int]],
+                 ext: list[tuple[int, int, int]], radj: list[tuple[int, int]]):
         self.gid, self.t, self.theta, self.hb = gid, t, theta, hb
         self.rng = random.Random(seed)
-        self.roots: set[int] = set(int(r) for r in roots)
+        self.roots: set[int] = set(roots)
         # --- tree structure ---
         self.children: dict[int, list[int]] = defaultdict(list)
         self.parent: dict[int, int] = {}
-        for p, c in zip(hedge_rows["x"].astype(int), hedge_rows["y"].astype(int)):
+        for p, c in hedges:
             self.children[p].append(c)
             self.parent[c] = p
-        self.size: dict[int, int] = dict(
-            zip(node_rows["x"].astype(int), node_rows["y"].astype(int))
-        )
-        self.static_root: dict[int, int] = dict(
-            zip(node_rows["x"].astype(int), node_rows["v"].astype(int))
-        )
+        self.size: dict[int, int] = {x: n for x, n, _ in nodes}
+        self.static_root: dict[int, int] = {x: r for x, _, r in nodes}
         # DSU over root labels: label -> newer label after a merge
         self.label_up: dict[int, int] = {}
         # per-root aggregates
@@ -94,25 +97,18 @@ class GroupWorker:
         self.adj: dict[int, dict[int, int]] = defaultdict(dict)
         self.pmap: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
         self.inc: dict[int, int] = defaultdict(int)
-        for x, y, s in zip(
-            pedge_rows["x"].astype(int), pedge_rows["y"].astype(int),
-            pedge_rows["v"].astype(int),
-        ):
-            self._add_edge(int(x), int(y), int(s))
+        for x, y, s in pedges:
+            self._add_edge(x, y, s)
         # --- edges to external supernodes ---
         self.ext_adj: dict[int, dict[int, int]] = defaultdict(dict)
-        for x, y, s in zip(
-            ext_rows["x"].astype(int), ext_rows["y"].astype(int),
-            ext_rows["v"].astype(int),
-        ):
-            self.ext_adj[int(x)][int(y)] = int(s)
-            self.inc[self.treeof(int(x))] += 1
-            self._bump_ndeg(int(x), 1)
+        for x, y, s in ext:
+            self.ext_adj[x][y] = s
+            self.inc[self.treeof(x)] += 1
+            self._bump_ndeg(x, 1)
         # --- root-level G-adjacency for the distance<=2 candidate filter ---
         self.nbr: dict[int, set[int]] = defaultdict(set)  # member neighbors
         self.extnbr: dict[int, set[int]] = defaultdict(set)  # external neighbors
-        for a, b in zip(radj_rows["x"].astype(int), radj_rows["y"].astype(int)):
-            a, b = int(a), int(b)
+        for a, b in radj:
             if b in self.roots:
                 self.nbr[a].add(b)
                 self.nbr[b].add(a)
@@ -452,38 +448,69 @@ class GroupWorker:
 
     # ----------------------------------------------------------------- I/O
 
-    def output(self) -> pd.DataFrame:
-        rows = []
-        for a, b, u in self.merges:
-            rows.append((self.gid, "merge", a, b, u))
-        for (x, y), s in self.edges.items():
-            rows.append((self.gid, "pedge", x, y, s))
-        return pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"]).astype(
-            {"gid": np.int64, "x": np.int64, "y": np.int64, "v": np.int64}
-        )
+    def output(self) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+        """(merges (A, B, U), intra-group p/n-edges (x, y, sign), x <= y)."""
+        return self.merges, [(x, y, s) for (x, y), s in self.edges.items()]
 
 
-def run_group(tall: pd.DataFrame, t: int, big_t: int, seed: int, hb: int) -> pd.DataFrame:
-    """Process one group's tall rows; used by applyInPandas and locally."""
-    if len(tall) == 0:
-        return pd.DataFrame(columns=["gid", "kind", "x", "y", "v"])
-    gid = int(tall["gid"].iloc[0])
+def run_group(gid: int, bundle: Bundle, t: int, big_t: int, seed: int,
+              hb: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """Algorithm 2 on one group: (merges (A, B, U), intra-group p/n-edges)."""
+    if len(bundle[0]) < 2:
+        return [], bundle[3]  # nothing to merge with
     theta = 1.0 / (1 + t) if t < big_t else 0.0
-    by_kind = {k: g for k, g in tall.groupby("kind")}
-    empty = tall.iloc[0:0]
-    roots = by_kind.get("root", empty)["x"].astype(int).tolist()
-    w = GroupWorker(
-        gid=gid,
-        t=t,
-        theta=theta,
-        seed=(seed * 1_000_003 + t * 7919 + gid) & 0x7FFFFFFF,
-        hb=hb,
-        roots=roots,
-        node_rows=by_kind.get("node", empty),
-        hedge_rows=by_kind.get("hedge", empty),
-        pedge_rows=by_kind.get("pedge", empty),
-        ext_rows=by_kind.get("ext", empty),
-        radj_rows=by_kind.get("radj", empty),
-    )
+    w = GroupWorker(gid, t, theta, (seed * 1_000_003 + t * 7919 + gid) & 0x7FFFFFFF,
+                    hb, *bundle)
     w.run()
     return w.output()
+
+
+def tall_frame(bundles: dict[int, Bundle]) -> pd.DataFrame:
+    """Flatten the bundles into the tall (gid, kind, x, y, v) DataFrame the
+    Spark engine ships to :func:`run_group_pandas`."""
+    rows = []
+    for gid, (roots, nodes, hedges, pedges, ext, radj) in bundles.items():
+        rows += [(gid, "root", r, 0, 0) for r in roots]
+        rows += [(gid, "node", x, n, r) for x, n, r in nodes]
+        rows += [(gid, "hedge", p, c, 0) for p, c in hedges]
+        rows += [(gid, "pedge", x, y, s) for x, y, s in pedges]
+        rows += [(gid, "ext", x, y, s) for x, y, s in ext]
+        rows += [(gid, "radj", a, b, 0) for a, b in radj]
+    return pd.DataFrame(rows, columns=TALL_COLS).astype(
+        {"gid": np.int64, "x": np.int64, "y": np.int64, "v": np.int64}
+    )
+
+
+def _bundle(pdf: pd.DataFrame) -> Bundle:
+    """Inverse of :func:`tall_frame` for one group's rows."""
+    roots, nodes, hedges, pedges, ext, radj = bundle = ([], [], [], [], [], [])
+    for k, x, y, v in zip(pdf["kind"].tolist(), pdf["x"].tolist(),
+                          pdf["y"].tolist(), pdf["v"].tolist()):
+        if k == "root":
+            roots.append(x)
+        elif k == "node":
+            nodes.append((x, y, v))
+        elif k == "hedge":
+            hedges.append((x, y))
+        elif k == "pedge":
+            pedges.append((x, y, v))
+        elif k == "ext":
+            ext.append((x, y, v))
+        else:
+            radj.append((x, y))
+    return bundle
+
+
+def run_group_pandas(pdf: pd.DataFrame, t: int, big_t: int, seed: int, hb: int) -> pd.DataFrame:
+    """``applyInPandas`` adapter: one group's tall rows in, its
+    ``merge``/``pedge`` rows out, computed by :func:`run_group`."""
+    if len(pdf) == 0:
+        return pd.DataFrame(columns=TALL_COLS)
+    gid = int(pdf["gid"].iat[0])
+    merges, pedges = run_group(gid, _bundle(pdf), t, big_t, seed, hb)
+    xyv = np.array(merges + pedges, dtype=np.int64).reshape(-1, 3)
+    return pd.DataFrame({
+        "gid": np.full(len(xyv), gid, dtype=np.int64),
+        "kind": ["merge"] * len(merges) + ["pedge"] * len(pedges),
+        "x": xyv[:, 0], "y": xyv[:, 1], "v": xyv[:, 2],
+    })

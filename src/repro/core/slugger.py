@@ -5,12 +5,15 @@ The per-iteration dataflow (DESIGN.md §3.2):
 
 1. shingle-based candidate sets over current roots (numpy fast path; the
    Spark twin in :mod:`repro.core.hashing` is equivalence-tested);
-2. a tall (gid, kind, x, y, v) DataFrame ships each group its member
-   trees, intra-group p/n-edges, read-only external edges and root-level
-   G-adjacency;
-3. ``groupBy("gid").applyInPandas(run_group)`` runs Algorithm 2 per
-   candidate set in parallel across Spark partitions
-   (``engine="local"`` runs the identical worker in-process for tests);
+2. :func:`_tall_rows` builds one bundle of plain tuple lists per group:
+   member roots and trees, intra-group p/n-edges, read-only external
+   edges and root-level G-adjacency;
+3. each group runs Algorithm 2 via :func:`repro.core.groupmerge.run_group`
+   (``engine="local"`` loops over the groups in gid order in-process;
+   ``engine="spark"`` flattens the bundles into one tall
+   (gid, kind, x, y, v) DataFrame and runs the same function per group
+   via ``groupBy("gid").applyInPandas``); a group with a single root
+   cannot merge and passes its edges straight through;
 4. cross-group edges are lifted by :func:`repro.core.consolidate.consolidate`;
 5. driver state (supernode forest + edge tables) is re-materialized —
    the checkpoint between iterations.
@@ -22,7 +25,6 @@ produces the whole Table-III row.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,31 +112,40 @@ class _DriverState:
 
 
 def _tall_rows(state: _DriverState, edges: pd.DataFrame, gid_of: dict[int, int]):
-    """Build the tall worker-input rows and the read-only cross edge list."""
-    rows: list[tuple[int, str, int, int, int]] = []
+    """Build the per-group worker bundles and the read-only cross edge list.
+
+    ``bundles[gid]`` is ``(roots, nodes(x, size, root), hedges(p, c),
+    pedges(x, y, s), ext(x, y, s), radj(a, b))``, see
+    :func:`repro.core.groupmerge.run_group`.
+    """
+    bundles: dict[int, groupmerge.Bundle] = {}
     # roots + their trees
-    node_root: dict[int, int] = {}
+    node_gid: dict[int, int] = {}
     for r, g in gid_of.items():
-        rows.append((g, "root", r, 0, 0))
+        b = bundles.get(g)
+        if b is None:
+            b = bundles[g] = ([], [], [], [], [], [])
+        roots, nodes, hedges = b[0], b[1], b[2]
+        roots.append(r)
         stack = [r]
         while stack:
             v = stack.pop()
-            node_root[v] = r
-            rows.append((g, "node", v, state.size[v], r))
-            for c in state.children.get(v, []):
-                rows.append((g, "hedge", v, c, 0))
+            node_gid[v] = g
+            nodes.append((v, state.size[v], r))
+            for c in state.children.get(v, ()):
+                hedges.append((v, c))
                 stack.append(c)
     # p/n-edges: intra-group vs cross-group
     cross: list[tuple[int, int, int]] = []
-    for x, y, s in state.pedges:
-        rx, ry = node_root[x], node_root[y]
-        gx, gy = gid_of[rx], gid_of[ry]
+    for e in state.pedges:
+        x, y, s = e
+        gx, gy = node_gid[x], node_gid[y]
         if gx == gy:
-            rows.append((gx, "pedge", x, y, s))
+            bundles[gx][3].append(e)
         else:
-            cross.append((x, y, s))
-            rows.append((gx, "ext", x, y, s))
-            rows.append((gy, "ext", y, x, s))
+            cross.append(e)
+            bundles[gx][4].append(e)
+            bundles[gy][4].append((y, x, s))
     # root-level G-adjacency (distance filter); both directions
     lr = state.leaf_root
     ra = lr[edges["src"].to_numpy()]
@@ -142,11 +153,9 @@ def _tall_rows(state: _DriverState, edges: pd.DataFrame, gid_of: dict[int, int])
     mask = ra != rb
     pairs = set(zip(ra[mask].tolist(), rb[mask].tolist()))
     for x, y in pairs:
-        rows.append((gid_of[x], "radj", x, y, 0))
-        rows.append((gid_of[y], "radj", y, x, 0))
-    tall = pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"])
-    tall[["gid", "x", "y", "v"]] = tall[["gid", "x", "y", "v"]].astype(np.int64)
-    return tall, cross
+        bundles[gid_of[x]][5].append((x, y))
+        bundles[gid_of[y]][5].append((y, x))
+    return bundles, cross
 
 
 def _run_round(
@@ -160,40 +169,34 @@ def _run_round(
     spark: SparkSession | None,
 ) -> None:
     groups = candidates.assign_groups(edges, state.leaf_root, seed, t)
-    gid_of = dict(zip(groups["root"].astype(int), groups["gid"].astype(int)))
-    tall, cross = _tall_rows(state, edges, gid_of)
+    gid_of = dict(zip(groups["root"].tolist(), groups["gid"].tolist()))
+    bundles, cross = _tall_rows(state, edges, gid_of)
+    merges: list[tuple[int, int, int]] = []
+    intra: list[tuple[int, int, int]] = []
     if engine == "spark":
         assert spark is not None, "engine='spark' needs a SparkSession"
-        tall_df = spark.createDataFrame(tall, schema=groupmerge.TALL_SCHEMA)
+        tall_df = spark.createDataFrame(
+            groupmerge.tall_frame(bundles), schema=groupmerge.TALL_SCHEMA
+        )
         out = (
             tall_df.groupBy("gid")
             .applyInPandas(
-                lambda pdf: groupmerge.run_group(pdf, t, big_t, seed, hb),
-                schema=groupmerge.OUT_SCHEMA,
+                lambda pdf: groupmerge.run_group_pandas(pdf, t, big_t, seed, hb),
+                schema=groupmerge.TALL_SCHEMA,
             )
             .toPandas()
         )
+        for kind, x, y, v in zip(out["kind"].tolist(), out["x"].tolist(),
+                                 out["y"].tolist(), out["v"].tolist()):
+            (merges if kind == "merge" else intra).append((x, y, v))
     else:
-        parts = [
-            groupmerge.run_group(g, t, big_t, seed, hb)
-            for _, g in tall.groupby("gid", sort=True)
-        ]
-        out = (
-            pd.concat(parts, ignore_index=True)
-            if parts
-            else pd.DataFrame(columns=["gid", "kind", "x", "y", "v"])
-        )
-    merges = [
-        (int(r.x), int(r.y), int(r.v))
-        for r in out[out["kind"] == "merge"].itertuples()
-    ]
-    intra = [
-        (int(r.x), int(r.y), int(r.v))
-        for r in out[out["kind"] == "pedge"].itertuples()
-    ]
+        for gid in sorted(bundles):
+            m, p = groupmerge.run_group(gid, bundles[gid], t, big_t, seed, hb)
+            merges += m
+            intra += p
     state.apply_merges(merges)
     lifted = consolidate(cross, state.children) if cross else []
-    state.pedges = intra + [tuple(e) for e in lifted]
+    state.pedges = intra + lifted
 
 
 def slugger(
@@ -216,6 +219,11 @@ def slugger(
     ``snapshot_ts``: iteration counts at which to snapshot a *pruned copy*
     of the state (Table III); the run continues unaffected.
     """
+    # bit widths of groupmerge.new_id; a group never has more roots than n_sub
+    if T >= 128:
+        raise ValueError(f"T must be < 128, got {T}")
+    if n_sub >= 1 << 24:
+        raise ValueError(f"n_sub must be < 2**24, got {n_sub}")
     t0 = time.perf_counter()
     state = _DriverState(edges, n_sub)
     snapshots: dict[int, HierSummary] = {}

@@ -43,13 +43,10 @@ class NeighborIndex:
                 break
             node = self.parent[node]
         for x in chain:
+            # a self-loop (y == x) covers every member pair, v's included
             for y, s in self.inc.get(x, []):
-                if y == x:  # self-loop: covers every member pair incl. v
-                    for u in self.members[y]:
-                        count[u] += s
-                else:
-                    for u in self.members[y]:
-                        count[u] += s
+                for u in self.members[y]:
+                    count[u] += s
         out = [u for u, c in count.items() if c == 1 and u != v]
         bad = [u for u, c in count.items() if u != v and c not in (0, 1)]
         assert not bad, f"net coverage outside {{0,1}} at {bad[:5]}"

@@ -31,18 +31,10 @@ def make_worker(roots, hedges=(), pedges=(), ext=(), radj=(), sizes=None,
             return 1
         return sum(sz(c) for c in kids)
 
-    node_rows = pd.DataFrame(
-        [(v, sizes[v] if sizes else sz(v), rootof(v)) for v in sorted(all_nodes)],
-        columns=["x", "y", "v"],
-    )
+    nodes = [(v, sizes[v] if sizes else sz(v), rootof(v)) for v in sorted(all_nodes)]
     return gm.GroupWorker(
-        gid=0, t=1, theta=theta, seed=seed, hb=hb,
-        roots=list(roots),
-        node_rows=node_rows,
-        hedge_rows=pd.DataFrame(hedges, columns=["x", "y"]) if hedges else pd.DataFrame(columns=["x", "y"]),
-        pedge_rows=pd.DataFrame(pedges, columns=["x", "y", "v"]) if pedges else pd.DataFrame(columns=["x", "y", "v"]),
-        ext_rows=pd.DataFrame(ext, columns=["x", "y", "v"]) if ext else pd.DataFrame(columns=["x", "y", "v"]),
-        radj_rows=pd.DataFrame(radj, columns=["x", "y"]) if radj else pd.DataFrame(columns=["x", "y"]),
+        gid=0, t=1, theta=theta, seed=seed, hb=hb, roots=list(roots), nodes=nodes,
+        hedges=list(hedges), pedges=list(pedges), ext=list(ext), radj=list(radj),
     )
 
 
@@ -155,30 +147,58 @@ class TestMergeEncoding:
         w = make_worker([0, 1, 2], pedges=[(0, 1, 1), (0, 2, 1), (1, 2, 1)],
                         radj=[(0, 1), (0, 2), (1, 2)], theta=0.0)
         w.run()
-        out = w.output()
-        assert set(out.columns) == {"gid", "kind", "x", "y", "v"}
-        assert set(out["kind"]) <= {"merge", "pedge"}
+        merges, pedges = w.output()
+        assert all(len(m) == 3 for m in merges)
+        assert pedges and all(len(e) == 3 and e[0] <= e[1] for e in pedges)
+
+
+def bundle(roots, nodes=None, hedges=(), pedges=(), ext=(), radj=()):
+    """A group bundle; ``nodes`` defaults to one singleton per root."""
+    if nodes is None:
+        nodes = [(r, 1, r) for r in roots]
+    return (list(roots), list(nodes), list(hedges), list(pedges), list(ext), list(radj))
+
+
+def k6_bundle():
+    pe = [(a, b, 1) for a in range(6) for b in range(a + 1, 6)]
+    ra = [(a, b) for a in range(6) for b in range(6) if a != b]
+    return bundle(range(6), pedges=pe, radj=ra)
 
 
 class TestRunGroup:
     def test_empty_group(self):
-        out = gm.run_group(pd.DataFrame(columns=["gid", "kind", "x", "y", "v"]), 1, 5, 0, 0)
-        assert len(out) == 0
+        assert gm.run_group(0, bundle([]), 1, 5, 0, 0) == ([], [])
 
     def test_deterministic_in_seed(self):
-        rows = []
-        for v in range(6):
-            rows.append((0, "root", v, 0, 0))
-            rows.append((0, "node", v, 1, v))
-        for a in range(6):
-            for b in range(a + 1, 6):
-                rows.append((0, "pedge", a, b, 1))
-                rows.append((0, "radj", a, b, 0))
-                rows.append((0, "radj", b, a, 0))
-        tall = pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"])
-        o1 = gm.run_group(tall, 1, 1, 42, 0)
-        o2 = gm.run_group(tall, 1, 1, 42, 0)
-        pd.testing.assert_frame_equal(o1, o2)
+        o1 = gm.run_group(0, k6_bundle(), 1, 1, 42, 0)
+        o2 = gm.run_group(0, k6_bundle(), 1, 1, 42, 0)
+        assert o1 == o2 and o1[0]
+
+    def test_single_root_passes_edges_through(self):
+        b = bundle([10], nodes=[(10, 2, 10), (0, 1, 10), (1, 1, 10)],
+                   hedges=[(10, 0), (10, 1)], pedges=[(1, 0, 1), (10, 10, -1)],
+                   ext=[(10, 99, 1)], radj=[(10, 7)])
+        merges, pedges = gm.run_group(3, b, 1, 5, 0, 0)
+        assert merges == [] and pedges == [(1, 0, 1), (10, 10, -1)]
+
+    @pytest.mark.parametrize("gid,make", [
+        (0, k6_bundle),
+        (5, lambda: bundle([0, 1, 2], pedges=[(0, 2, 1), (1, 2, 1)],
+                           ext=[(0, 99, 1), (1, 99, 1)], radj=[(0, 2), (1, 2), (0, 99)])),
+        (9, lambda: bundle([4], pedges=[(4, 4, 1)])),
+        (2, lambda: bundle([])),
+    ], ids=["k6", "ext", "single_root", "empty"])
+    def test_pandas_adapter_matches_run_group(self, gid, make):
+        t, big_t, seed, hb = 1, 1, 7, 0
+        merges, pedges = gm.run_group(gid, make(), t, big_t, seed, hb)
+        tall = gm.tall_frame({gid: make()})
+        out = gm.run_group_pandas(tall, t, big_t, seed, hb)
+        rows = list(zip(out["kind"], out["x"].tolist(), out["y"].tolist(), out["v"].tolist()))
+        assert [r[1:] for r in rows if r[0] == "merge"] == merges
+        assert [r[1:] for r in rows if r[0] == "pedge"] == pedges
+        assert set(out["gid"]) <= {gid}
+        if len(out):
+            assert out.dtypes[["gid", "x", "y", "v"]].eq(np.int64).all()
 
     def test_new_ids_unique_across_groups(self):
         ids = {gm.new_id(t, g, s) for t in (1, 2) for g in (0, 1, 7) for s in (0, 1)}

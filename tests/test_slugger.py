@@ -1,5 +1,8 @@
 """End-to-end SLUGGER tests: losslessness on every graph family, engine
-equivalence, threshold/iteration behaviour, height bounds."""
+equivalence, pinned output digests, threshold/iteration behaviour, height
+bounds, argument checks."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -22,6 +25,37 @@ GRAPHS = [
     ("caveman", lambda: (gen.caveman_cliques(48, clique_size=8, p_rewire=0.1, seed=4), 48)),
     ("hub", lambda: (gen.hub_spokes(80, n_hubs=5, seed=5), 80)),
 ]
+
+NESTED = dict(n=60, levels=2, branching=3, p_top=0.05, ratio=8, seed=2)
+
+
+def digest(summary) -> str:
+    """sha256 of the summary tables, each sorted on all its columns (the
+    same digest the benchmark prints)."""
+    h = hashlib.sha256(str(summary.n_sub).encode())
+    for table, cols in (("nodes", ["nid", "size"]), ("hedges", ["parent", "child"]),
+                        ("pedges", ["x", "y", "sign"])):
+        arr = getattr(summary, table).sort_values(cols)[cols].to_numpy(dtype=np.int64)
+        h.update(",".join(cols).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestGolden:
+    """Byte-identical output pinned for fixed inputs and seeds: a change that
+    only makes SLUGGER faster or simpler must leave these digests alone."""
+
+    def test_collab_cliques_t5(self):
+        edges = datasets.load("collab_cliques", scale="test", seed=0)
+        res = slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
+        assert digest(res.summary) == (
+            "05ce3046e751e4d8d8cff92cfad5f60ad75dfa4bbc6d8a9e2c41143624763e1f")
+
+    def test_nested_partition_t4(self):
+        edges = gen.nested_partition(**NESTED)
+        res = slugger(edges, NESTED["n"], T=4, seed=0, engine="local")
+        assert digest(res.summary) == (
+            "dc7f68b02ec7aac2b54e5e3cde3ee6081b184762477c4969ed1edceea2d8d6de")
 
 
 class TestLossless:
@@ -55,9 +89,10 @@ class TestLossless:
 
 class TestEngines:
     def test_spark_equals_local(self, spark):
-        edges = gen.nested_partition(60, levels=2, branching=3, p_top=0.05, ratio=8, seed=2)
-        rl = slugger(edges, 60, T=4, seed=0, engine="local")
-        rs = slugger(edges, 60, T=4, seed=0, engine="spark", spark=spark)
+        edges = gen.nested_partition(**NESTED)
+        rl = slugger(edges, NESTED["n"], T=4, seed=0, engine="local")
+        rs = slugger(edges, NESTED["n"], T=4, seed=0, engine="spark", spark=spark)
+        assert digest(rs.summary) == digest(rl.summary)
         pd.testing.assert_frame_equal(
             rl.summary.pedges.sort_values(["x", "y", "sign"]).reset_index(drop=True),
             rs.summary.pedges.sort_values(["x", "y", "sign"]).reset_index(drop=True),
@@ -163,3 +198,17 @@ class TestEdgeCases:
         res = slugger(edges, 6, T=2, seed=0, engine="local")
         assert res.summary.n_sub == 6
         res.summary.validate()
+
+
+class TestArguments:
+    """The supernode id layout (groupmerge.new_id) is checked up front."""
+
+    def test_too_many_iterations(self):
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="T must be < 128"):
+            slugger(edges, 2, T=128, engine="local")
+
+    def test_too_many_subnodes(self):
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="n_sub must be < 2"):
+            slugger(edges, 1 << 24, T=2, engine="local")
