@@ -7,7 +7,11 @@ saving clears the iteration threshold θ(t) (Eq. 9). Mergers re-encode
 p/n-edges locally via the memoized Case-1/Case-2 solvers
 (:mod:`repro.core.localenc`) and track the cross-group consolidation the
 global phase (:mod:`repro.core.consolidate`) will apply, so local Saving
-scores match the global outcome.
+scores match the global outcome. Saving and merging find the Case-2 edges
+of a panel in one pass over its adjacency, bucketed by root C
+(``GroupWorker._case2_buckets``); Saving reads each bucket's effect from
+the memo in :func:`repro.core.localenc.case2_effect`, and merging solves
+each bucket to apply it.
 
 Groups are independent. Worker I/O is plain tuples: :func:`run_group`
 takes one group's bundle (see :data:`Bundle`) and returns the group's
@@ -82,16 +86,18 @@ class GroupWorker:
         # greedy systematically under-merge relative to the paper's results)
         self.ndeg: dict[int, int] = defaultdict(int)
         self.zero_internal: dict[int, int] = defaultdict(int)
-        for r in self.roots:
-            self.height[r] = self._calc_height(r)
-            self.hcount[r] = self._calc_hcount(r)
-            stack = [r]
+        for r in self.roots:  # iterative walks: pre-pruning trees can be deep
+            height, hcount, internal, stack = 0, 0, 0, [(r, 0)]
             while stack:
-                v = stack.pop()
-                kids = self.children.get(v, [])
+                v, d = stack.pop()
+                kids = self.children.get(v)
                 if kids:
-                    self.zero_internal[r] += 1  # no edges seen yet
-                    stack.extend(kids)
+                    hcount += len(kids)
+                    internal += 1  # no edges seen yet
+                    stack.extend((c, d + 1) for c in kids)
+                else:
+                    height = max(height, d)
+            self.height[r], self.hcount[r], self.zero_internal[r] = height, hcount, internal
         # --- p/n-edges (intra-group) ---
         self.edges: dict[tuple[int, int], int] = {}
         self.adj: dict[int, dict[int, int]] = defaultdict(dict)
@@ -128,28 +134,6 @@ class GroupWorker:
             r = self.label_up[r]
         return r
 
-    def _calc_height(self, r: int) -> int:
-        """Iterative tree height (pre-pruning trees can be very deep)."""
-        best, stack = 0, [(r, 0)]
-        while stack:
-            v, d = stack.pop()
-            kids = self.children.get(v)
-            if not kids:
-                best = max(best, d)
-            else:
-                stack.extend((c, d + 1) for c in kids)
-        return best
-
-    def _calc_hcount(self, r: int) -> int:
-        """Number of h-edges in the tree rooted at r (iterative)."""
-        total, stack = 0, [r]
-        while stack:
-            v = stack.pop()
-            kids = self.children.get(v, [])
-            total += len(kids)
-            stack.extend(kids)
-        return total
-
     # --------------------------------------------------------- edge plumbing
 
     def _bump_ndeg(self, x: int, d: int) -> None:
@@ -173,37 +157,30 @@ class GroupWorker:
         assert key not in self.edges, f"duplicate edge {key}"
         self.edges[key] = s
         self.adj[x][y] = s
-        if x != y:
-            self.adj[y][x] = s
-        rx, ry = self.treeof(x), self.treeof(y)
-        a, b = _canon(rx, ry)
-        self.pmap[a][b] += 1
-        if a != b:
-            self.pmap[b][a] += 1
-        self.inc[rx] += 1
-        if ry != rx:
-            self.inc[ry] += 1
-        self._bump_ndeg(x, 1)
-        if y != x:
-            self._bump_ndeg(y, 1)
+        self.adj[y][x] = s  # the same entry when x == y
+        self._count_edge(x, y, 1)
 
     def _remove_edge(self, x: int, y: int) -> None:
-        key = _canon(x, y)
-        del self.edges[key]
+        del self.edges[_canon(x, y)]
         del self.adj[x][y]
         if x != y:
             del self.adj[y][x]
+        self._count_edge(x, y, -1)
+
+    def _count_edge(self, x: int, y: int, d: int) -> None:
+        """Update the per-root and per-node counts for one edge added
+        (``d`` = 1) or removed (``d`` = -1)."""
         rx, ry = self.treeof(x), self.treeof(y)
         a, b = _canon(rx, ry)
-        self.pmap[a][b] -= 1
+        self.pmap[a][b] += d
         if a != b:
-            self.pmap[b][a] -= 1
-        self.inc[rx] -= 1
+            self.pmap[b][a] += d
+        self.inc[rx] += d
         if ry != rx:
-            self.inc[ry] -= 1
-        self._bump_ndeg(x, -1)
+            self.inc[ry] += d
+        self._bump_ndeg(x, d)
         if y != x:
-            self._bump_ndeg(y, -1)
+            self._bump_ndeg(y, d)
 
     def pcnt(self, a: int, b: int) -> int:
         return self.pmap[a].get(b, 0)
@@ -224,7 +201,7 @@ class GroupWorker:
         )
 
     def _case1(self, a_root: int, b_root: int):
-        """(na, nb, flags, label2real incl. U=None, removal-with-labels)."""
+        """(na, nb, flags, real2label, panel reals, removal-with-labels)."""
         la, ra, na, fa = self._panel(a_root, L.A, L.A0, L.A1)
         lb, rb, nb, fb = self._panel(b_root, L.B, L.B0, L.B1)
         labels = la + lb
@@ -238,29 +215,23 @@ class GroupWorker:
                     removal.append((labels[i], labels[j], s))
         return na, nb, fa + fb, real2label, reals, removal
 
-    def _case2_targets(self, panel_reals: list[int]):
-        """Roots C with a p/n-edge between the yellow panel and S̄_C."""
-        out: set[int] = set()
-        panel_set = set(panel_reals)
+    def _case2_buckets(self, panel_reals: list[int], real2label: dict[int, int]):
+        """Case-2 edges in one pass over the panel's adjacency: root C ->
+        [(panel label, C-side label, sign)] for every p/n-edge between the
+        yellow panel and S̄_C. Edges to deeper nodes of C's tree are out of
+        scope."""
+        buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
         for x in panel_reals:
-            for y in self.adj.get(x, {}):
-                if y in panel_set:
+            lx = real2label[x]
+            for y, s in self.adj.get(x, {}).items():
+                if y in real2label:
                     continue
                 r = self.treeof(y)
-                if y == r or self.parent.get(y) == r:
-                    out.add(r)
-        return out
-
-    def _case2(self, panel_reals, real2label, c_root: int):
-        lc, rc, nc, _ = self._panel(c_root, L.C, L.C0, L.C1)
-        c_real2label = dict(zip(rc, lc))
-        removal = []
-        for x in panel_reals:
-            for y in rc:
-                s = self.edges.get(_canon(x, y))
-                if s is not None:
-                    removal.append((real2label[x], c_real2label[y], s))
-        return nc, c_real2label, rc, removal
+                if y == r:
+                    buckets[r].append((lx, L.C, s))
+                elif self.parent.get(y) == r:
+                    buckets[r].append((lx, L.C0 if self.children[r][0] == y else L.C1, s))
+        return buckets
 
     def _shared_ext(self, a: int, b: int) -> list[tuple[int, int]]:
         """Root-level external (Y, sign) present at both A and B — exactly
@@ -272,18 +243,6 @@ class GroupWorker:
 
     # --------------------------------------------------------------- scoring
 
-    @staticmethod
-    def _label_deltas(deltas: dict[int, int], removed, added) -> None:
-        """Accumulate per-panel-label incident-edge deltas of one rewrite."""
-        for lx, ly, _ in removed:
-            deltas[lx] = deltas.get(lx, 0) - 1
-            if ly != lx:
-                deltas[ly] = deltas.get(ly, 0) - 1
-        for lx, ly, _ in added:
-            deltas[lx] = deltas.get(lx, 0) + 1
-            if ly != lx:
-                deltas[ly] = deltas.get(ly, 0) + 1
-
     def saving(self, a: int, b: int) -> float:
         """Eq. (8) with pruning-aware hierarchy cost: 1 − Cost_{A∪B}(Ĝ) /
         (Cost_A + Cost_B − Cost^P_{A,B}), where Cost^H charges only
@@ -294,38 +253,26 @@ class GroupWorker:
         if den <= 0:
             return NO_MERGE
         na, nb, flags, real2label, panel_reals, removal = self._case1(a, b)
-        deltas: dict[int, int] = {}
-        d1 = 0
-        sol = L.solve_case1(na, nb, flags, removal)
-        if sol is not None and len(sol) <= len(removal):
-            d1 = len(sol) - len(removal)
-            self._label_deltas(deltas, removal, sol)
-        d2 = 0
-        for c_root in self._case2_targets(panel_reals):
-            nc, _, _, removal2 = self._case2(panel_reals, real2label, c_root)
-            sol2 = L.solve_case2(na, nb, nc, removal2)
-            if sol2 is not None and len(sol2) <= len(removal2):
-                d2 += len(sol2) - len(removal2)
-                self._label_deltas(deltas, removal2, sol2)
+        d, da, db, du = L.effect(L.solve_case1(na, nb, flags, removal), removal)
+        for c_root, removed in self._case2_buckets(panel_reals, real2label).items():
+            e = L.case2_effect(na, nb, 2 if self.children.get(c_root) else 1, tuple(removed))
+            d += e[0]
+            da += e[1]
+            db += e[2]
+            du += e[3]
         dext = len(self._shared_ext(a, b))
         # h-cost adjustment: nodes left edge-less by the rewrite get pruned
         adj = 0
-        for root_node, label in ((a, L.A), (b, L.B)):
+        for root_node, delta in ((a, da), (b, db)):
             if self.children.get(root_node):
-                after = self.ndeg[root_node] + deltas.get(label, 0) - dext
+                after = self.ndeg[root_node] + delta - dext
                 if self.ndeg[root_node] > 0 and after == 0:
                     adj += 1
                 elif self.ndeg[root_node] == 0 and after > 0:
                     adj -= 1
-        ndeg_u = deltas.get(L.U, 0) + dext
-        if ndeg_u == 0:
+        if du + dext == 0:
             adj += 2  # U itself would be pruned (the merge is a no-op)
-        num = (
-            self.eff_h(a) + self.eff_h(b) + 2 - adj
-            + self.inc[a] + self.inc[b] - self.pcnt(a, b)
-            + d1 + d2 - dext
-        )
-        return 1.0 - num / den
+        return 1.0 - (den + 2 - adj + d - dext) / den
 
     # --------------------------------------------------------------- merging
 
@@ -334,11 +281,10 @@ class GroupWorker:
         # Case-1/Case-2 geometry is computed against the *pre-merge* trees.
         na, nb, flags, real2label, panel_reals, removal = self._case1(a, b)
         case2_plan = []
-        for c_root in self._case2_targets(panel_reals):
-            nc, c_real2label, rc, removal2 = self._case2(panel_reals, real2label, c_root)
-            sol2 = L.solve_case2(na, nb, nc, removal2)
-            if sol2 is not None and len(sol2) <= len(removal2):
-                case2_plan.append((c_real2label, removal2, sol2, real2label))
+        for c_root, removal2 in self._case2_buckets(panel_reals, real2label).items():
+            sol2 = L.solve_case2(na, nb, 2 if self.children.get(c_root) else 1, removal2)
+            if sol2 is not None:
+                case2_plan.append((c_root, removal2, sol2))
         sol1 = L.solve_case1(na, nb, flags, removal)
         shared = self._shared_ext(a, b)
 
@@ -390,20 +336,19 @@ class GroupWorker:
         # --- apply Case 1 ---
         label2real = {v: k for k, v in real2label.items()}
         label2real[L.U] = u
-        if sol1 is not None and len(sol1) <= len(removal):
+        if sol1 is not None:
             for lx, ly, _ in removal:
                 self._remove_edge(label2real[lx], label2real[ly])
             for lx, ly, s in sol1:
                 self._add_edge(label2real[lx], label2real[ly], s)
         # --- apply Case 2 per connected root ---
-        for c_real2label, removal2, sol2, r2l in case2_plan:
-            l2r = {v: k for k, v in r2l.items()}
-            l2r[L.U] = u
-            l2r.update({v: k for k, v in c_real2label.items()})
+        for c_root, removal2, sol2 in case2_plan:
+            label2real[L.C] = c_root
+            label2real[L.C0], label2real[L.C1] = self.children.get(c_root) or (None, None)
             for lx, ly, _ in removal2:
-                self._remove_edge(l2r[lx], l2r[ly])
+                self._remove_edge(label2real[lx], label2real[ly])
             for lx, ly, s in sol2:
-                self._add_edge(l2r[lx], l2r[ly], s)
+                self._add_edge(label2real[lx], label2real[ly], s)
         # --- mirror the global consolidation locally (virtual lift) ---
         for y, s in shared:
             del self.ext_adj[a][y]

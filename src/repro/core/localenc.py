@@ -15,12 +15,16 @@ a leaf). Removing the in-scope edges subtracts a signed *coverage*
 restores precisely that coverage. The solver finds a minimum-cardinality
 signed edge set over the panel's *slots* (unordered supernode pairs plus
 self-loops on supernodes with ≥2 subnodes) restoring ``c`` — via
-iterative-deepening DFS with suffix-coverage pruning, results memoized on
-the (structure, target) signature. The memo is input-graph independent,
-exactly as in the paper ("the memoized results ... can even be used when
-summarizing different input graphs").
+iterative-deepening DFS with suffix-coverage pruning.
 
-If no strictly smaller edge set is found within the depth/node budget,
+Two process-global memo tables, both input-graph independent as in the
+paper ("the memoized results ... can even be used when summarizing
+different input graphs"): ``_memo`` holds solver results per (structure,
+target), and ``_effects`` holds :func:`case2_effect`, what one Case-2
+re-encoding changes in Saving, per (structure, removed edges), so scoring
+skips building the coverage target too.
+
+If no edge set at most as small is found within the depth/node budget,
 the caller keeps the old edges (always feasible), so the budget bounds
 only conciseness, never correctness.
 
@@ -38,11 +42,18 @@ MAX_DEPTH = 6  # deepest replacement edge set searched for
 NODE_BUDGET = 300_000  # DFS node cap per (structure, target) before giving up
 
 _memo: dict[tuple, tuple | None] = {}
+_effects: dict[tuple, tuple[int, int, int, int]] = {}
 
 
 def memo_size() -> int:
-    """Number of memoized (structure, target) cases (for tests/telemetry)."""
-    return len(_memo)
+    """Number of entries in both memo tables (for tests/telemetry)."""
+    return len(_memo) + len(_effects)
+
+
+def clear_memo() -> None:
+    """Empty both memo tables."""
+    _memo.clear()
+    _effects.clear()
 
 
 class _Panel:
@@ -193,19 +204,22 @@ def _search(slots: list[tuple[tuple[int, int], tuple[int, ...]]],
     return None
 
 
-def _solve(panel: _Panel, key: tuple, target: tuple[int, ...], old_size: int):
-    """Memoized best replacement strictly smaller than ``old_size``, as a
-    list of (label_x, label_y, sign), or None to keep the old edges."""
+def _solve(panel: _Panel, key: tuple, removed: list[tuple[int, int, int]]):
+    """Memoized best replacement for ``removed`` (labelled edges) no larger
+    than it, as a list of (label_x, label_y, sign), or None to keep the
+    old edges."""
+    target = [0] * len(panel.pairs)
+    for x, y, s in removed:
+        for p, c in enumerate(panel.covvec(x, y)):
+            target[p] += s * c
     if not any(target):
         return []  # removing the edges already restores nothing — drop them
-    full_key = (key, target)
-    if full_key in _memo:
-        sol = _memo[full_key]
-    else:
-        sol = _search(panel.slots, target, MAX_DEPTH)
+    full_key = (key, tuple(target))
+    if full_key not in _memo:
+        sol = _search(panel.slots, full_key[1], MAX_DEPTH)
         _memo[full_key] = tuple(sol) if sol is not None else None
-        sol = _memo[full_key]
-    if sol is None or len(sol) > old_size:
+    sol = _memo[full_key]
+    if sol is None or len(sol) > len(removed):
         return None
     # equal-cost solutions are accepted: the coverage-first slot ordering
     # concentrates edges on the highest supernodes (U first), which keeps
@@ -220,23 +234,34 @@ def solve_case1(na: int, nb: int, singleton: tuple[bool, ...],
     """Case 1. ``removed`` = current panel-internal edges as
     (label_x, label_y, sign). Returns the replacement edge list (possibly
     []) or None if the old edges are already minimal within bounds."""
-    panel = case1_panel(na, nb, singleton)
-    target = [0] * len(panel.pairs)
-    for x, y, s in removed:
-        cov = panel.covvec(x, y)
-        for p in range(len(target)):
-            target[p] += s * cov[p]
-    return _solve(panel, ("c1", na, nb, singleton), tuple(target), len(removed))
+    return _solve(case1_panel(na, nb, singleton), ("c1", na, nb, singleton), removed)
 
 
 def solve_case2(na: int, nb: int, nc: int,
                 removed: list[tuple[int, int, int]]):
     """Case 2. ``removed`` = current (yellow panel × S̄_C) edges as
     (label_x, label_y, sign) with the C-side labels C/C0/C1."""
-    panel = case2_panel(na, nb, nc)
-    target = [0] * len(panel.pairs)
-    for x, y, s in removed:
-        cov = panel.covvec(x, y)
-        for p in range(len(target)):
-            target[p] += s * cov[p]
-    return _solve(panel, ("c2", na, nb, nc), tuple(target), len(removed))
+    return _solve(case2_panel(na, nb, nc), ("c2", na, nb, nc), removed)
+
+
+def effect(sol, removed) -> tuple[int, int, int, int]:
+    """What replacing ``removed`` by a solver answer ``sol`` does, as seen
+    by Saving: (change in edge count, ΔA, ΔB, ΔU), each Δ the change in
+    the number of edges touching that panel node; all zero when ``sol`` is
+    None (the old edges are kept)."""
+    if sol is None:
+        return (0, 0, 0, 0)
+    return (len(sol) - len(removed), *(
+        sum(lab in e[:2] for e in sol) - sum(lab in e[:2] for e in removed)
+        for lab in (A, B, U)))
+
+
+def case2_effect(na: int, nb: int, nc: int,
+                 removed: tuple[tuple[int, int, int], ...]) -> tuple[int, int, int, int]:
+    """:func:`effect` of Case 2 on one S̄_C, memoized on the arguments: the
+    solver's answer depends only on the coverage target and
+    ``len(removed)``, both functions of them."""
+    key = (na, nb, nc, removed)
+    if key not in _effects:
+        _effects[key] = effect(solve_case2(na, nb, nc, list(removed)), removed)
+    return _effects[key]

@@ -199,6 +199,20 @@ def _run_round(
     state.pedges = intra + lifted
 
 
+def _check_edges(edges: pd.DataFrame, n_sub: int) -> None:
+    """Raise ValueError unless ``edges`` is a simple undirected edge list
+    over ids 0..n_sub-1, each edge once in either orientation."""
+    src, dst = (edges[c].to_numpy(dtype=np.int64) for c in ("src", "dst"))
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    if len(lo) and (lo.min() < 0 or hi.max() >= n_sub):
+        raise ValueError(f"edge endpoints must lie in [0, n_sub={n_sub})")
+    if (lo == hi).any():
+        raise ValueError(f"self-loop on node {int(lo[lo == hi][0])}")
+    # n_sub < 2**24, so the pair key fits in int64
+    if len(np.unique(lo * n_sub + hi)) != len(lo):
+        raise ValueError("duplicate edge (in either orientation)")
+
+
 def slugger(
     edges: pd.DataFrame,
     n_sub: int,
@@ -212,7 +226,9 @@ def slugger(
     do_prune: bool = True,
     snapshot_ts: tuple[int, ...] = (),
 ) -> SluggerResult:
-    """Run SLUGGER on a canonical pandas edge list.
+    """Run SLUGGER on a simple undirected pandas edge list (``src``,
+    ``dst``); a self-loop, a duplicate edge or an id outside
+    ``[0, n_sub)`` raises ValueError.
 
     ``hb``: height bound (0 = unlimited, Table V). ``engine``: "spark"
     (groups via applyInPandas) or "local" (same worker, in-process).
@@ -224,6 +240,7 @@ def slugger(
         raise ValueError(f"T must be < 128, got {T}")
     if n_sub >= 1 << 24:
         raise ValueError(f"n_sub must be < 2**24, got {n_sub}")
+    _check_edges(edges, n_sub)
     t0 = time.perf_counter()
     state = _DriverState(edges, n_sub)
     snapshots: dict[int, HierSummary] = {}

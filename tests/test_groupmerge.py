@@ -1,9 +1,13 @@
 """Unit tests of the per-group merge worker (Algorithm 2 internals)."""
+import itertools
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import groupmerge as gm
+from repro.core import localenc as L
 
 
 def make_worker(roots, hedges=(), pedges=(), ext=(), radj=(), sizes=None,
@@ -150,6 +154,106 @@ class TestMergeEncoding:
         merges, pedges = w.output()
         assert all(len(m) == 3 for m in merges)
         assert pedges and all(len(e) == 3 and e[0] <= e[1] for e in pedges)
+
+
+# Two hand-built groups for pinning Saving and the Case-2 re-encoding.
+# LEAFY: internal roots 10, 11, 12 and leaf roots 4, 5, so every pair has
+# both a leaf C and an internal C beside its panel. DEEP: root 20 has an
+# internal child 21, so 22 and 23 are grandchildren of C = 20 and their
+# edges to other panels (22-31, 22-32, 23-32, 23-40) are out of Case 2.
+LEAFY = dict(
+    roots=[10, 11, 4, 5, 12],
+    hedges=[(10, 0), (10, 1), (11, 2), (11, 3), (12, 6), (12, 7)],
+    pedges=[(0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, -1), (10, 4, 1), (2, 4, 1),
+            (3, 5, 1), (11, 5, 1), (0, 5, 1), (10, 10, 1), (4, 5, 1), (0, 6, 1),
+            (0, 7, 1), (2, 12, 1), (12, 12, 1), (1, 12, -1)],
+    ext=[(10, 99, 1), (11, 99, 1), (4, 98, -1), (5, 98, -1)],
+)
+DEEP = dict(
+    roots=[20, 30, 40, 41],
+    hedges=[(20, 21), (20, 8), (21, 22), (21, 23), (30, 31), (30, 32)],
+    pedges=[(22, 31, 1), (23, 40, 1), (21, 31, 1), (8, 30, -1), (8, 40, 1),
+            (20, 41, 1), (30, 41, 1), (32, 40, 1), (21, 21, 1), (30, 30, 1),
+            (40, 41, 1), (22, 23, 1), (22, 32, 1), (23, 32, -1)],
+    ext=[(30, 97, 1), (40, 97, 1)],
+)
+PINNED_GROUPS = {"leafy": LEAFY, "deep": DEEP}
+
+
+class TestPinned:
+    """Saving and merge results recorded before Case 2 was bucketed in one
+    adjacency pass; the rewrite must reproduce them exactly."""
+
+    SAVING = {
+        "leafy": {
+            (10, 11): 0.09999999999999998, (10, 4): 0.125, (10, 5): 0.05882352941176472,
+            (10, 12): 0.05882352941176472, (11, 10): 0.050000000000000044, (11, 4): 0.0,
+            (11, 5): 0.0, (11, 12): 0.05882352941176472, (4, 10): 0.125, (4, 11): 0.0,
+            (4, 5): -0.125, (4, 12): 0.0, (5, 10): 0.05882352941176472, (5, 11): 0.0,
+            (5, 4): -0.125, (5, 12): 0.0, (12, 10): 0.05882352941176472,
+            (12, 11): 0.05882352941176472, (12, 4): 0.0, (12, 5): 0.0,
+        },
+        "deep": {
+            (20, 30): 0.0, (20, 40): 0.0, (20, 41): -0.0625, (30, 20): 0.0, (30, 40): 0.0,
+            (30, 41): -0.07692307692307687, (40, 20): 0.0, (40, 30): 0.0,
+            (40, 41): -0.2857142857142858, (41, 20): -0.0625,
+            (41, 30): -0.07692307692307687, (41, 40): -0.2857142857142858,
+        },
+    }
+
+    MERGED = {
+        ("leafy", 10, 11): [
+            ((0, 3), 1), ((0, 12), 1), ((1, 3), -1), ((1, 5), -1), ((1, 12), -1),
+            ((2, 10), 1), ((2, 12), 1), ((3, 4), -1), ((3, 5), 1), ((4, 5), 1),
+            ((4, U0), 1), ((5, U0), 1), ((10, 10), 1), ((12, 12), 1)],
+        ("leafy", 4, 5): [
+            ((0, 2), 1), ((0, 3), 1), ((0, 6), 1), ((0, 7), 1), ((1, 2), 1),
+            ((1, 3), -1), ((1, 5), -1), ((1, 12), -1), ((2, 12), 1), ((3, 4), -1),
+            ((3, 5), 1), ((10, 10), 1), ((10, U0), 1), ((11, U0), 1), ((12, 12), 1),
+            ((U0, U0), 1)],
+        ("deep", 30, 40): [
+            ((8, 30), -1), ((8, 40), 1), ((20, 41), 1), ((21, 21), 1), ((21, 31), 1),
+            ((22, 23), 1), ((22, 31), 1), ((22, 32), 1), ((23, 32), -1), ((23, 40), 1),
+            ((31, 40), -1), ((41, U0), 1), ((U0, U0), 1)],
+        ("deep", 40, 41): [
+            ((8, 30), -1), ((20, U0), 1), ((21, 21), 1), ((21, 31), 1), ((21, 40), -1),
+            ((22, 23), 1), ((22, 31), 1), ((22, 32), 1), ((23, 32), -1), ((23, 40), 1),
+            ((30, 30), 1), ((30, U0), 1), ((31, 40), -1), ((U0, U0), 1)],
+    }
+
+    @pytest.mark.parametrize("name", PINNED_GROUPS)
+    def test_saving_every_root_pair(self, name):
+        group = PINNED_GROUPS[name]
+        got = {(a, z): make_worker(**group).saving(a, z)
+               for a, z in itertools.permutations(group["roots"], 2)}
+        assert got == pytest.approx(self.SAVING[name])
+
+    @pytest.mark.parametrize("name", PINNED_GROUPS)
+    def test_case2_buckets_match_brute_force(self, name):
+        group = PINNED_GROUPS[name]
+        w = make_worker(**group)
+        c_labels = (L.C, L.C0, L.C1)
+        for a, b in itertools.permutations(group["roots"], 2):
+            _, _, _, real2label, panel_reals, _ = w._case1(a, b)
+            want: dict[int, Counter] = {}
+            for c in set(group["roots"]) - {a, b}:
+                s_bar = [c] + w.children.get(c, [])
+                found = Counter(
+                    (real2label[x], c_labels[s_bar.index(y)], s)
+                    for (p, q), s in w.edges.items()
+                    for x, y in ((p, q), (q, p))
+                    if x in real2label and y in s_bar)
+                if found:
+                    want[c] = found
+            got = w._case2_buckets(panel_reals, real2label)
+            assert {c: Counter(es) for c, es in got.items()} == want, (a, b)
+
+    @pytest.mark.parametrize("key", MERGED, ids=lambda k: "-".join(map(str, k)))
+    def test_merge_reencoding(self, key):
+        name, a, b = key
+        w = make_worker(**PINNED_GROUPS[name])
+        w.merge(a, b, U0)
+        assert sorted(w.edges.items()) == self.MERGED[key]
 
 
 def bundle(roots, nodes=None, hedges=(), pedges=(), ext=(), radj=()):

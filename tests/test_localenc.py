@@ -196,3 +196,46 @@ class TestMemoization:
         grew = L.memo_size() - base
         L.solve_case2(1, 1, 1, [(A, C, 1), (B, C, 1)])
         assert L.memo_size() - base == grew
+
+    def test_case2_effect_counts_in_memo_size(self):
+        removed = ((A, C, 1), (B, C, 1), (A0, C, -1))
+        L.solve_case2(2, 1, 1, list(removed))
+        before = L.memo_size()
+        L.case2_effect(2, 1, 1, removed)
+        assert L.memo_size() == before + 1  # the effect table is counted too
+        L.case2_effect(2, 1, 1, removed)
+        assert L.memo_size() == before + 1
+
+    def test_clear_memo_empties_both_tables(self):
+        L.solve_case1(2, 2, (False, True, False, True), [(A, B, 1), (A0, B1, -1)])
+        L.case2_effect(1, 1, 2, ((A, C0, 1), (B, C0, 1), (A, C1, 1)))
+        assert L.memo_size() > 0
+        L.clear_memo()
+        assert L.memo_size() == 0
+
+
+class TestCase2Effect:
+    @pytest.mark.parametrize("na,nb,nc,removed", [
+        (1, 1, 1, ((A, C, 1), (B, C, 1))),  # lift to (U, C)
+        (2, 1, 2, ((A0, C0, 1), (A1, C0, 1), (B, C0, 1), (A, C1, -1))),
+        (1, 1, 2, ((A, C, 1),)),  # already minimal: re-encoded as itself
+        (1, 2, 1, ((A, C, 1), (A, C, -1))),  # cancels out: dropped
+    ])
+    def test_matches_solver(self, na, nb, nc, removed):
+        sol = L.solve_case2(na, nb, nc, list(removed))
+
+        def touching(edges, lab):
+            return sum(lab in (x, y) for x, y, _ in edges)
+        assert L.case2_effect(na, nb, nc, removed) == (
+            len(sol) - len(removed),
+            *(touching(sol, lab) - touching(removed, lab) for lab in (A, B, U)))
+
+    def test_unsolved_keeps_old_edges(self, monkeypatch):
+        L.clear_memo()  # a memo hit would bypass the budget
+        monkeypatch.setattr(L, "NODE_BUDGET", 1)
+        try:
+            removed = ((A, C, 1), (B, C, 1))
+            assert L.solve_case2(1, 1, 1, list(removed)) is None
+            assert L.case2_effect(1, 1, 1, removed) == (0, 0, 0, 0)
+        finally:
+            L.clear_memo()  # drop the budget-limited answers

@@ -7,6 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import localenc
 from repro.core.slugger import slugger
 from repro.graphs import datasets
 from repro.graphs import generators as gen
@@ -56,6 +57,13 @@ class TestGolden:
         res = slugger(edges, NESTED["n"], T=4, seed=0, engine="local")
         assert digest(res.summary) == (
             "dc7f68b02ec7aac2b54e5e3cde3ee6081b184762477c4969ed1edceea2d8d6de")
+
+    def test_ppi_like_t5(self):
+        # dense groups: many Case-2 re-encodings per Saving call
+        edges = datasets.load("ppi_like", scale="test", seed=0)
+        res = slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
+        assert digest(res.summary) == (
+            "88c0427bb74475699b88f39a06517a1ea73edca5af89a1029264234192cdf892")
 
 
 class TestLossless:
@@ -201,7 +209,8 @@ class TestEdgeCases:
 
 
 class TestArguments:
-    """The supernode id layout (groupmerge.new_id) is checked up front."""
+    """The supernode id layout (groupmerge.new_id) and the edge list are
+    checked up front."""
 
     def test_too_many_iterations(self):
         edges = pd.DataFrame({"src": [0], "dst": [1]})
@@ -212,3 +221,53 @@ class TestArguments:
         edges = pd.DataFrame({"src": [0], "dst": [1]})
         with pytest.raises(ValueError, match="n_sub must be < 2"):
             slugger(edges, 1 << 24, T=2, engine="local")
+
+    def test_self_loop(self):
+        edges = pd.DataFrame({"src": [0, 2], "dst": [1, 2]})
+        with pytest.raises(ValueError, match="self-loop on node 2"):
+            slugger(edges, 3, T=2, engine="local")
+
+    def test_duplicate_edge(self):
+        edges = pd.DataFrame({"src": [0, 1, 0], "dst": [1, 2, 1]})
+        with pytest.raises(ValueError, match="duplicate edge"):
+            slugger(edges, 3, T=2, engine="local")
+
+    def test_duplicate_edge_reversed(self):
+        edges = pd.DataFrame({"src": [0, 1, 1], "dst": [1, 2, 0]})
+        with pytest.raises(ValueError, match="duplicate edge"):
+            slugger(edges, 3, T=2, engine="local")
+
+    def test_negative_id(self):
+        edges = pd.DataFrame({"src": [0, -1], "dst": [1, 2]})
+        with pytest.raises(ValueError, match="must lie in"):
+            slugger(edges, 3, T=2, engine="local")
+
+    def test_id_not_below_n_sub(self):
+        edges = pd.DataFrame({"src": [0, 1], "dst": [1, 3]})
+        with pytest.raises(ValueError, match="must lie in"):
+            slugger(edges, 3, T=2, engine="local")
+
+    def test_reversed_orientation_accepted(self):
+        edges = pd.DataFrame({"src": [1, 2, 2], "dst": [0, 1, 0]})
+        res = slugger(edges, 3, T=2, engine="local")
+        assert_lossless_pd(res.summary, pd.DataFrame({"src": [0, 0, 1], "dst": [1, 2, 2]}))
+
+
+class TestSolverBudget:
+    """A solver that gives up keeps the old edges: conciseness may suffer,
+    the summary stays lossless."""
+
+    @pytest.fixture
+    def tiny_budget(self, monkeypatch):
+        localenc.clear_memo()  # a memo hit would bypass the budget
+        monkeypatch.setattr(localenc, "NODE_BUDGET", 3)
+        yield
+        localenc.clear_memo()  # drop the budget-limited answers
+
+    def test_exhausted_budget_stays_lossless(self, tiny_budget):
+        edges = datasets.load("ppi_like", scale="test", seed=0)
+        n = n_nodes(edges)
+        res = slugger(edges, n, T=3, seed=0, engine="local")
+        assert None in localenc._memo.values()  # some search ran out
+        assert_lossless_pd(res.summary, edges)
+        assert cost(res.summary) <= len(edges)
