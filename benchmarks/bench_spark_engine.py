@@ -1,6 +1,7 @@
-"""Spark-dataflow benchmark: the applyInPandas group-merge engine on one
-bench dataset — the distributed path whose results are pinned equal to
-the local engine by tests/test_slugger.py."""
+"""Spark-dataflow benchmark: the Spark group-merge engine (one
+``mapInPandas`` job per round over pickled per-group bundles, no shuffle)
+on one bench dataset — the distributed path whose results are pinned
+equal to the local engine by tests/test_slugger.py."""
 import pytest
 
 from repro.eval.harness import load_dataset

@@ -28,7 +28,8 @@ def base_parser(desc: str) -> argparse.ArgumentParser:
         "--engine",
         default="local",
         choices=["local", "spark"],
-        help="group-merge execution engine (spark = applyInPandas dataflow)",
+        help="group-merge execution engine (spark = one mapInPandas job per round "
+             "over pickled per-group bundles, no shuffle)",
     )
     p.add_argument("--datasets", nargs="*", default=None)
     return p

@@ -93,27 +93,3 @@ def encode_flat(
         cp=cp.reset_index(drop=True),
         cn=cn.reset_index(drop=True),
     )
-
-
-def flat_cost_of_partition(
-    spark: SparkSession, edges: pd.DataFrame, group: np.ndarray
-) -> int:
-    """|P| + |C+| + |C−| of the optimal flat encoding, without materializing
-    the correction sets (pure aggregation — O(|E|))."""
-    _, _, _, counts, sizes = _pair_counts(spark, edges, group)
-    decided = (
-        counts.join(sizes.withColumnRenamed("g", "gx").withColumnRenamed("sz", "sx"), "gx")
-        .join(sizes.withColumnRenamed("g", "gy").withColumnRenamed("sz", "sy"), "gy")
-        .withColumn(
-            "t_ab",
-            F.when(F.col("gx") == F.col("gy"), F.col("sx") * (F.col("sx") - 1) / 2)
-            .otherwise(F.col("sx") * F.col("sy"))
-            .cast("long"),
-        )
-        .withColumn(
-            "c",
-            F.least(F.lit(1) + F.col("t_ab") - F.col("e_ab"), F.col("e_ab")),
-        )
-    )
-    row = decided.agg(F.sum("c").alias("total")).collect()[0]
-    return int(row["total"] or 0)

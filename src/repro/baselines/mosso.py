@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -113,6 +114,7 @@ def mosso(
     seed: int = 0,
     time_limit_s: float = 600.0,
 ) -> MossoResult:
+    check_edges(edges, n_sub)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     st = _State(n_sub)

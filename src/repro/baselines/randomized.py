@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -67,6 +68,7 @@ def randomized(
     time_limit_s: float = 600.0,
     max_candidates: int = 200,
 ) -> RandomizedResult:
+    check_edges(edges, n_sub)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     # supernode-level state

@@ -16,6 +16,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.hashing import P31
+from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -36,6 +37,7 @@ def sags(
     p: float = 0.3,
     seed: int = 0,
 ) -> SagsResult:
+    check_edges(edges, n_sub)
     t0 = time.perf_counter()
     g = np.random.default_rng(seed)
     src = edges["src"].to_numpy(dtype=np.int64)

@@ -5,8 +5,9 @@ threshold θ(t) = 1/(1+t)} over the *flat* model, followed by the optimal
 flat encoding. Within a group, Saving(A, B) is computed from exact
 per-supernode-pair subedge counts (the original uses a SuperJaccard
 approximation for speed; the exact-count variant is the same algorithm
-with a sharper score — documented in DESIGN.md). Groups are processed in
-parallel via ``applyInPandas`` exactly like SLUGGER's merging step;
+with a sharper score — documented in DESIGN.md). Groups run through
+SLUGGER's executor, :func:`repro.core.candidates.run_groups` (in-process,
+or one ``mapInPandas`` job over pickled per-group bundles, no shuffle);
 counts are recomputed from the edge set between rounds (distributed
 SWeG's per-round staleness model).
 """
@@ -22,10 +23,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core import candidates
+from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
-
-TALL_SCHEMA = "gid long, kind string, x long, y long, v long"
 
 
 def _flat_cost(cnt: dict[int, int], sizes: dict[int, int], a: int, sa: int) -> int:
@@ -57,15 +57,8 @@ class _SwegGroup:
         cb = _flat_cost(self.cnt[b], self.sizes, b, self.sizes[b])
         if ca + cb == 0:
             return -1e18
-        merged = self._merged_counts(a, b)
         su = self.sizes[a] + self.sizes[b]
-        sizes = self.sizes
-        cu = 0
-        for x, e in merged.items():
-            if e <= 0:
-                continue
-            t = su * (su - 1) // 2 if x == a else su * sizes[x]
-            cu += min(e, t - e + 1)
+        cu = _flat_cost(self._merged_counts(a, b), self.sizes, a, su)
         return 1.0 - cu / (ca + cb)
 
     def _merged_counts(self, a: int, b: int) -> dict[int, int]:
@@ -137,27 +130,21 @@ class _SwegGroup:
                 q.insert(self.rng.randrange(len(q) + 1), a)
 
 
-def _run_group(tall: pd.DataFrame, t: int, big_t: int, seed: int) -> pd.DataFrame:
-    if len(tall) == 0:
-        return pd.DataFrame(columns=["gid", "kind", "x", "y", "v"])
-    gid = int(tall["gid"].iloc[0])
+def _run_group(gid: int, bundle: tuple, t: int, big_t: int, seed: int) -> list[tuple[int, int]]:
+    """Greedy merging on one group: its merges (survivor a, absorbed b).
+
+    ``bundle`` is (members, sizes {supernode: size} for members and their
+    neighbors, counts (member, other, subedges))."""
+    sups, sizes, counts = bundle
     theta = 1.0 / (1 + t) if t < big_t else 0.0
-    sups = tall[tall["kind"] == "sup"]["x"].astype(int).tolist()
-    sizes = dict(
-        zip(tall[tall["kind"] == "size"]["x"].astype(int),
-            tall[tall["kind"] == "size"]["y"].astype(int))
-    )
     cnt: dict[int, dict[int, int]] = {s: {} for s in sups}
-    for r in tall[tall["kind"] == "cnt"].itertuples():
-        cnt[int(r.x)][int(r.y)] = int(r.v)
+    for x, y, e in counts:
+        cnt[x][y] = e
     g = _SwegGroup(
-        gid, theta, (seed * 999_983 + t * 613 + gid) & 0x7FFFFFFF, sups, sizes, cnt
+        gid, theta, (seed * 999_983 + t * 613 + gid) & 0x7FFFFFFF, sups, dict(sizes), cnt
     )
     g.run()
-    rows = [(gid, "merge", a, b, 0) for a, b in g.merges]
-    return pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"]).astype(
-        {"gid": np.int64, "x": np.int64, "y": np.int64, "v": np.int64}
-    )
+    return g.merges
 
 
 @dataclass
@@ -175,63 +162,48 @@ def sweg(
     seed: int = 0,
     engine: str = "local",
 ) -> SwegResult:
-    """Run SWEG and return the optimally flat-encoded summary."""
+    """Run SWEG and return the optimally flat-encoded summary.
+
+    ``engine``: "local" (groups in-process) or "spark" (one mapInPandas
+    job per round); anything else raises ValueError, as does a malformed
+    edge list (see :func:`repro.graphs.ops.check_edges`)."""
+    candidates.check_engine(engine, spark)
+    check_edges(edges, n_sub)
     t0 = time.perf_counter()
     group = np.arange(n_sub, dtype=np.int64)
     src = edges["src"].to_numpy()
     dst = edges["dst"].to_numpy()
     for t in range(1, T + 1):
         cand = candidates.assign_groups(edges, group, seed, t)
-        gid_of = dict(zip(cand["root"].astype(int), cand["gid"].astype(int)))
-        # per-pair subedge counts at the current supernode level
+        gid_of = dict(zip(cand["root"].tolist(), cand["gid"].tolist()))
+        # per-pair subedge counts at the current supernode level, by (a, b)
         ga, gb = group[src], group[dst]
-        lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
-        pair_cnt = pd.DataFrame({"a": lo, "b": hi}).groupby(["a", "b"]).size()
-        sizes = pd.Series(group).value_counts()
-        rows: list[tuple[int, str, int, int, int]] = []
+        keys, pair_e = np.unique(np.minimum(ga, gb) * n_sub + np.maximum(ga, gb),
+                                 return_counts=True)
+        ids, id_size = np.unique(group, return_counts=True)
+        size = dict(zip(ids.tolist(), id_size.tolist()))
+        bundles: dict[int, tuple] = {}
         for s, gid in gid_of.items():
-            rows.append((gid, "sup", s, 0, 0))
-            rows.append((gid, "size", s, int(sizes[s]), 0))
-        seen_sizes: dict[int, set[int]] = defaultdict(set)
-        for (a, b), e in pair_cnt.items():
-            a, b, e = int(a), int(b), int(e)
+            bundle = bundles.get(gid)
+            if bundle is None:
+                bundle = bundles[gid] = ([], {}, [])
+            bundle[0].append(s)
+            bundle[1][s] = size[s]
+        for a, b, e in zip((keys // n_sub).tolist(), (keys % n_sub).tolist(), pair_e.tolist()):
             for mem, other in ((a, b), (b, a)) if a != b else ((a, a),):
-                gid = gid_of[mem]
-                rows.append((gid, "cnt", mem, other, e))
-                if other != mem and gid_of.get(other) != gid and other not in seen_sizes[gid]:
-                    rows.append((gid, "size", other, int(sizes[other]), 0))
-                    seen_sizes[gid].add(other)
-        tall = pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"])
-        tall[["gid", "x", "y", "v"]] = tall[["gid", "x", "y", "v"]].astype(np.int64)
-        if engine == "spark":
-            tall_df = spark.createDataFrame(tall, schema=TALL_SCHEMA)
-            out = (
-                tall_df.groupBy("gid")
-                .applyInPandas(
-                    lambda pdf: _run_group(pdf, t, T, seed), schema=TALL_SCHEMA
-                )
-                .toPandas()
-            )
-        else:
-            parts = [
-                _run_group(gdf, t, T, seed) for _, gdf in tall.groupby("gid", sort=True)
-            ]
-            out = (
-                pd.concat(parts, ignore_index=True)
-                if parts
-                else pd.DataFrame(columns=["gid", "kind", "x", "y", "v"])
-            )
-        remap: dict[int, int] = {}
-        for r in out[out["kind"] == "merge"].itertuples():
-            remap[int(r.y)] = int(r.x)
+                _, sizes, counts = bundles[gid_of[mem]]
+                counts.append((mem, other, e))
+                sizes.setdefault(other, size[other])
+        results = candidates.run_groups(_run_group, bundles, (t, T, seed),
+                                        spark if engine == "spark" else None)
+        remap = {b: a for merges in results for a, b in merges}
 
         def find(v: int) -> int:
             while v in remap:
                 v = remap[v]
             return v
 
-        uniq = {int(v) for v in np.unique(group)}
-        final = {v: find(v) for v in uniq}
-        group = np.array([final[int(g)] for g in group], dtype=np.int64)
+        final = {v: find(v) for v in size}
+        group = np.array([final[g] for g in group.tolist()], dtype=np.int64)
     flat = encode_flat(spark, edges, group)
     return SwegResult(flat=flat, elapsed_s=time.perf_counter() - t0)

@@ -5,11 +5,19 @@ re-divided with further independent shingles (the paper uses up to 10
 levels; shingle collisions make >3 levels moot at our scale) and finally
 split randomly so no candidate set exceeds ``max_size`` (paper: 500).
 Per-iteration seeds vary the candidate sets across iterations.
+
+:func:`run_groups` then runs one function on every group, in-process or
+as one Spark ``mapInPandas`` job over pickled per-group bundles (no
+shuffle; an Arrow batch carries many groups). SLUGGER and SWEG share it.
 """
 from __future__ import annotations
 
+import pickle
+from typing import Any, Callable
+
 import numpy as np
 import pandas as pd
+from pyspark.sql import SparkSession
 
 from .hashing import shingles_np
 
@@ -63,3 +71,43 @@ def assign_groups(
         next_gid += 1
     assert (gid >= 0).all()
     return pd.DataFrame({"root": roots.astype(np.int64), "gid": gid})
+
+
+def check_engine(engine: str, spark: SparkSession | None) -> None:
+    """Raise ValueError unless ``engine`` is "local", or "spark" with a session."""
+    if engine not in ("local", "spark"):
+        raise ValueError(f"engine must be 'local' or 'spark', got {engine!r}")
+    if engine == "spark" and spark is None:
+        raise ValueError("engine='spark' needs a SparkSession")
+
+
+def run_groups(
+    fn: Callable[..., Any],
+    bundles: dict[int, Any],
+    args: tuple,
+    spark: SparkSession | None = None,
+) -> list[Any]:
+    """``[fn(gid, bundle, *args) for gid in sorted(bundles)]``, in-process
+    when ``spark`` is None, else as one ``mapInPandas`` job over rows
+    ``(gid, pickled bundle)``. Results are in ascending gid order on both:
+    the rows go in sorted and ``mapInPandas`` keeps partition order."""
+    gids = sorted(bundles)
+    if spark is None:
+        return [fn(g, bundles[g], *args) for g in gids]
+    if not gids:
+        return []
+
+    def apply(batches):
+        for pdf in batches:
+            out = [pickle.dumps(fn(g, pickle.loads(b), *args))
+                   for g, b in zip(pdf["gid"].tolist(), pdf["b"])]
+            yield pd.DataFrame({"gid": pdf["gid"], "b": out})
+
+    rows = pd.DataFrame({"gid": np.array(gids, dtype=np.int64),
+                         "b": [pickle.dumps(bundles[g]) for g in gids]})
+    out = (
+        spark.createDataFrame(rows, schema="gid long, b binary")
+        .mapInPandas(apply, schema="gid long, b binary")
+        .toPandas()
+    )
+    return [pickle.loads(b) for b in out["b"]]

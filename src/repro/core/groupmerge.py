@@ -17,25 +17,16 @@ Groups are independent. Worker I/O is plain tuples: :func:`run_group`
 takes one group's bundle (see :data:`Bundle`) and returns the group's
 merges and intra-group p/n-edges as lists. A group with a single root
 cannot merge, so it returns its edges unchanged without building a
-worker. The local engine calls :func:`run_group` per group in-process;
-the Spark engine ships the bundles as one tall (gid, kind, x, y, v)
-DataFrame (:func:`tall_frame`, kinds ``root|node|hedge|pedge|ext|radj``)
-and runs :func:`run_group_pandas`, a thin adapter around the same
-function, via ``groupBy("gid").applyInPandas`` (DESIGN.md §3.2). Its
-output rows have kinds ``merge|pedge``.
+worker. :func:`repro.core.candidates.run_groups` calls :func:`run_group`
+per group, in-process or in one Spark ``mapInPandas`` job over the
+pickled bundles (DESIGN.md §3.2).
 """
 from __future__ import annotations
 
 import random
 from collections import defaultdict
 
-import numpy as np
-import pandas as pd
-
 from . import localenc as L
-
-TALL_SCHEMA = "gid long, kind string, x long, y long, v long"
-TALL_COLS = ["gid", "kind", "x", "y", "v"]
 
 # one group's worker input: (roots, nodes(x, size, root), hedges(parent,
 # child), pedges(x, y, sign), ext(member, external, sign), radj(a, b))
@@ -408,54 +399,3 @@ def run_group(gid: int, bundle: Bundle, t: int, big_t: int, seed: int,
                     hb, *bundle)
     w.run()
     return w.output()
-
-
-def tall_frame(bundles: dict[int, Bundle]) -> pd.DataFrame:
-    """Flatten the bundles into the tall (gid, kind, x, y, v) DataFrame the
-    Spark engine ships to :func:`run_group_pandas`."""
-    rows = []
-    for gid, (roots, nodes, hedges, pedges, ext, radj) in bundles.items():
-        rows += [(gid, "root", r, 0, 0) for r in roots]
-        rows += [(gid, "node", x, n, r) for x, n, r in nodes]
-        rows += [(gid, "hedge", p, c, 0) for p, c in hedges]
-        rows += [(gid, "pedge", x, y, s) for x, y, s in pedges]
-        rows += [(gid, "ext", x, y, s) for x, y, s in ext]
-        rows += [(gid, "radj", a, b, 0) for a, b in radj]
-    return pd.DataFrame(rows, columns=TALL_COLS).astype(
-        {"gid": np.int64, "x": np.int64, "y": np.int64, "v": np.int64}
-    )
-
-
-def _bundle(pdf: pd.DataFrame) -> Bundle:
-    """Inverse of :func:`tall_frame` for one group's rows."""
-    roots, nodes, hedges, pedges, ext, radj = bundle = ([], [], [], [], [], [])
-    for k, x, y, v in zip(pdf["kind"].tolist(), pdf["x"].tolist(),
-                          pdf["y"].tolist(), pdf["v"].tolist()):
-        if k == "root":
-            roots.append(x)
-        elif k == "node":
-            nodes.append((x, y, v))
-        elif k == "hedge":
-            hedges.append((x, y))
-        elif k == "pedge":
-            pedges.append((x, y, v))
-        elif k == "ext":
-            ext.append((x, y, v))
-        else:
-            radj.append((x, y))
-    return bundle
-
-
-def run_group_pandas(pdf: pd.DataFrame, t: int, big_t: int, seed: int, hb: int) -> pd.DataFrame:
-    """``applyInPandas`` adapter: one group's tall rows in, its
-    ``merge``/``pedge`` rows out, computed by :func:`run_group`."""
-    if len(pdf) == 0:
-        return pd.DataFrame(columns=TALL_COLS)
-    gid = int(pdf["gid"].iat[0])
-    merges, pedges = run_group(gid, _bundle(pdf), t, big_t, seed, hb)
-    xyv = np.array(merges + pedges, dtype=np.int64).reshape(-1, 3)
-    return pd.DataFrame({
-        "gid": np.full(len(xyv), gid, dtype=np.int64),
-        "kind": ["merge"] * len(merges) + ["pedge"] * len(pedges),
-        "x": xyv[:, 0], "y": xyv[:, 1], "v": xyv[:, 2],
-    })

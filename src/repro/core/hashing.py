@@ -7,16 +7,12 @@ p = 2^31 − 1. Roots sharing a shingle share a neighbor (or a node), so
 they are within distance 2 — the only pairs whose merger can reduce the
 encoding cost (Lemma 1).
 
-Two equivalent implementations: a vectorized numpy path used inside the
-driver loop, and a Spark DataFrame path (`shingles_spark`) exercising
-the shuffle; a test pins them equal.
+Shingles are computed with vectorized numpy in the driver loop.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 P31 = (1 << 31) - 1  # Mersenne prime 2^31 - 1
 
@@ -47,29 +43,3 @@ def shingles_np(
     df = pd.DataFrame({"root": leaf_root, "m": m})
     out = df.groupby("root", as_index=False)["m"].min()
     return out.rename(columns={"m": "shingle"})
-
-
-def shingles_spark(
-    spark: SparkSession, edges: DataFrame, leaf_root: pd.DataFrame, seed: int, t: int
-) -> pd.DataFrame:
-    """Spark twin of :func:`shingles_np`.
-
-    ``edges``: (src, dst); ``leaf_root``: pandas (sub, root).
-    """
-    a, b = hash_params(seed, t)
-    lr = spark.createDataFrame(leaf_root, schema="sub long, root long")
-    hcol = lambda c: (F.lit(a) * F.col(c) + F.lit(b)) % F.lit(P31)  # noqa: E731
-    sym = edges.select(F.col("src").alias("u"), F.col("dst").alias("v")).unionByName(
-        edges.select(F.col("dst").alias("u"), F.col("src").alias("v"))
-    )
-    neigh_min = (
-        sym.withColumn("hv", hcol("v")).groupBy("u").agg(F.min("hv").alias("mn"))
-    )
-    per_node = (
-        lr.withColumnRenamed("sub", "u")
-        .join(neigh_min, "u", "left")
-        .withColumn("hu", hcol("u"))
-        .withColumn("m", F.least(F.coalesce("mn", "hu"), "hu"))
-    )
-    out = per_node.groupBy("root").agg(F.min("m").alias("shingle"))
-    return out.toPandas().sort_values("root").reset_index(drop=True)

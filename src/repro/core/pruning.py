@@ -178,8 +178,7 @@ def step3(st: _PruneState, edges: pd.DataFrame) -> int:
     """Swap in the optimal flat encoding per root pair where cheaper.
     Returns the number of root pairs rewritten."""
     lr = st.leaf_root()
-    # subedges per root pair (pandas aggregation; the Spark twin of this
-    # count lives in baselines.flat_encode.flat_cost_of_partition)
+    # subedges per root pair
     src = edges["src"].to_numpy()
     dst = edges["dst"].to_numpy()
     ra = lr[src]

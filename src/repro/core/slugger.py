@@ -3,17 +3,15 @@ group-parallel merging + global consolidation, then pruning.
 
 The per-iteration dataflow (DESIGN.md §3.2):
 
-1. shingle-based candidate sets over current roots (numpy fast path; the
-   Spark twin in :mod:`repro.core.hashing` is equivalence-tested);
+1. shingle-based candidate sets over current roots (numpy, in the driver);
 2. :func:`_tall_rows` builds one bundle of plain tuple lists per group:
    member roots and trees, intra-group p/n-edges, read-only external
    edges and root-level G-adjacency;
 3. each group runs Algorithm 2 via :func:`repro.core.groupmerge.run_group`
-   (``engine="local"`` loops over the groups in gid order in-process;
-   ``engine="spark"`` flattens the bundles into one tall
-   (gid, kind, x, y, v) DataFrame and runs the same function per group
-   via ``groupBy("gid").applyInPandas``); a group with a single root
-   cannot merge and passes its edges straight through;
+   through :func:`repro.core.candidates.run_groups` (``engine="local"``
+   loops over the groups in gid order in-process; ``engine="spark"`` runs
+   one ``mapInPandas`` job over the pickled bundles, with no shuffle); a
+   group with a single root cannot merge and passes its edges through;
 4. cross-group edges are lifted by :func:`repro.core.consolidate.consolidate`;
 5. driver state (supernode forest + edge tables) is re-materialized —
    the checkpoint between iterations.
@@ -31,6 +29,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from ..graphs.ops import check_edges
 from ..model.summary import HierSummary, empty_hedges
 from . import candidates, groupmerge
 from .consolidate import consolidate
@@ -171,46 +170,13 @@ def _run_round(
     groups = candidates.assign_groups(edges, state.leaf_root, seed, t)
     gid_of = dict(zip(groups["root"].tolist(), groups["gid"].tolist()))
     bundles, cross = _tall_rows(state, edges, gid_of)
-    merges: list[tuple[int, int, int]] = []
-    intra: list[tuple[int, int, int]] = []
-    if engine == "spark":
-        assert spark is not None, "engine='spark' needs a SparkSession"
-        tall_df = spark.createDataFrame(
-            groupmerge.tall_frame(bundles), schema=groupmerge.TALL_SCHEMA
-        )
-        out = (
-            tall_df.groupBy("gid")
-            .applyInPandas(
-                lambda pdf: groupmerge.run_group_pandas(pdf, t, big_t, seed, hb),
-                schema=groupmerge.TALL_SCHEMA,
-            )
-            .toPandas()
-        )
-        for kind, x, y, v in zip(out["kind"].tolist(), out["x"].tolist(),
-                                 out["y"].tolist(), out["v"].tolist()):
-            (merges if kind == "merge" else intra).append((x, y, v))
-    else:
-        for gid in sorted(bundles):
-            m, p = groupmerge.run_group(gid, bundles[gid], t, big_t, seed, hb)
-            merges += m
-            intra += p
+    results = candidates.run_groups(groupmerge.run_group, bundles, (t, big_t, seed, hb),
+                                    spark if engine == "spark" else None)
+    merges = [e for m, _ in results for e in m]
+    intra = [e for _, p in results for e in p]
     state.apply_merges(merges)
     lifted = consolidate(cross, state.children) if cross else []
     state.pedges = intra + lifted
-
-
-def _check_edges(edges: pd.DataFrame, n_sub: int) -> None:
-    """Raise ValueError unless ``edges`` is a simple undirected edge list
-    over ids 0..n_sub-1, each edge once in either orientation."""
-    src, dst = (edges[c].to_numpy(dtype=np.int64) for c in ("src", "dst"))
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    if len(lo) and (lo.min() < 0 or hi.max() >= n_sub):
-        raise ValueError(f"edge endpoints must lie in [0, n_sub={n_sub})")
-    if (lo == hi).any():
-        raise ValueError(f"self-loop on node {int(lo[lo == hi][0])}")
-    # n_sub < 2**24, so the pair key fits in int64
-    if len(np.unique(lo * n_sub + hi)) != len(lo):
-        raise ValueError("duplicate edge (in either orientation)")
 
 
 def slugger(
@@ -231,7 +197,8 @@ def slugger(
     ``[0, n_sub)`` raises ValueError.
 
     ``hb``: height bound (0 = unlimited, Table V). ``engine``: "spark"
-    (groups via applyInPandas) or "local" (same worker, in-process).
+    (groups in one mapInPandas job; needs ``spark``) or "local" (same
+    worker, in-process); anything else raises ValueError.
     ``snapshot_ts``: iteration counts at which to snapshot a *pruned copy*
     of the state (Table III); the run continues unaffected.
     """
@@ -240,7 +207,8 @@ def slugger(
         raise ValueError(f"T must be < 128, got {T}")
     if n_sub >= 1 << 24:
         raise ValueError(f"n_sub must be < 2**24, got {n_sub}")
-    _check_edges(edges, n_sub)
+    candidates.check_engine(engine, spark)
+    check_edges(edges, n_sub)
     t0 = time.perf_counter()
     state = _DriverState(edges, n_sub)
     snapshots: dict[int, HierSummary] = {}

@@ -31,6 +31,20 @@ def canonicalize_pd(edges: pd.DataFrame) -> pd.DataFrame:
     return df.astype({"src": np.int64, "dst": np.int64})
 
 
+def check_edges(edges: pd.DataFrame, n_sub: int) -> None:
+    """Raise ValueError unless ``edges`` is a simple undirected edge list
+    over ids 0..n_sub-1, each edge once in either orientation."""
+    src, dst = (edges[c].to_numpy(dtype=np.int64) for c in ("src", "dst"))
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    if len(lo) and (lo.min() < 0 or hi.max() >= n_sub):
+        raise ValueError(f"edge endpoints must lie in [0, n_sub={n_sub})")
+    if (lo == hi).any():
+        raise ValueError(f"self-loop on node {int(lo[lo == hi][0])}")
+    # lo * n_sub + hi is unique per pair; it fits int64 while n_sub < 2**31
+    if len(np.unique(lo * n_sub + hi)) != len(lo):
+        raise ValueError("duplicate edge (in either orientation)")
+
+
 def edge_key(edges: pd.DataFrame, n: int) -> np.ndarray:
     """Sorted int64 keys src*n+dst — O(1) membership via np.isin/searchsorted."""
     return np.sort(edges["src"].to_numpy(dtype=np.int64) * n + edges["dst"].to_numpy())

@@ -24,10 +24,6 @@ HEDGE_COLS = ["parent", "child"]
 PEDGE_COLS = ["x", "y", "sign"]
 
 
-def empty_nodes() -> pd.DataFrame:
-    return pd.DataFrame({"nid": pd.Series(dtype=np.int64), "size": pd.Series(dtype=np.int64)})
-
-
 def empty_hedges() -> pd.DataFrame:
     return pd.DataFrame(
         {"parent": pd.Series(dtype=np.int64), "child": pd.Series(dtype=np.int64)}

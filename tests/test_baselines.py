@@ -1,4 +1,7 @@
-"""Baseline summarizer tests: losslessness + evaluated behaviour shape."""
+"""Baseline summarizer tests: losslessness, evaluated behaviour shape,
+pinned SWEG output, argument checks."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,7 +10,9 @@ from repro.baselines.mosso import mosso
 from repro.baselines.randomized import randomized
 from repro.baselines.sags import sags
 from repro.baselines.sweg import sweg
+from repro.graphs import datasets
 from repro.graphs import generators as gen
+from repro.graphs.generators import n_nodes
 from repro.model.flat import decode_flat_pd
 
 
@@ -15,6 +20,18 @@ def _lossless(fs, edges):
     got = decode_flat_pd(fs).sort_values(["src", "dst"]).reset_index(drop=True)
     want = edges.sort_values(["src", "dst"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)
+
+
+def flat_digest(fs) -> str:
+    """sha256 of the partition and the P, C+, C- tables, each sorted on all
+    its columns."""
+    h = hashlib.sha256(str(fs.n_sub).encode())
+    h.update(np.ascontiguousarray(fs.group, dtype=np.int64).tobytes())
+    for table, cols in (("p", ["x", "y"]), ("cp", ["src", "dst"]), ("cn", ["src", "dst"])):
+        arr = getattr(fs, table).sort_values(cols)[cols].to_numpy(dtype=np.int64)
+        h.update(",".join(cols).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 GRAPHS = [
@@ -43,6 +60,24 @@ class TestSweg:
         rl = sweg(spark, edges, n, T=2, seed=0, engine="local")
         rs = sweg(spark, edges, n, T=2, seed=0, engine="spark")
         assert (rl.flat.group == rs.flat.group).all()
+
+    @pytest.mark.parametrize("engine", ["local", "spark"])
+    def test_golden_collab_cliques_t5(self, spark, engine):
+        # byte-identical output pinned for a fixed input and seed
+        edges = datasets.load("collab_cliques", scale="test", seed=0)
+        res = sweg(spark, edges, n_nodes(edges), T=5, seed=0, engine=engine)
+        assert flat_digest(res.flat) == (
+            "10042fab424c4bb89240a08c0b9a13cd3925ce2a36845c03ca8631590374cba9")
+
+    def test_unknown_engine(self, spark):
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="engine must be 'local' or 'spark'"):
+            sweg(spark, edges, 2, T=2, engine="sprak")
+
+    def test_spark_engine_without_session(self):
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="needs a SparkSession"):
+            sweg(None, edges, 2, T=2, engine="spark")
 
     def test_compresses_cliques(self, spark):
         edges, n = gen.caveman_cliques(36, clique_size=6, p_rewire=0.0, seed=0), 36
@@ -135,3 +170,15 @@ class TestOrdering:
         rel_sa = sa.flat.cost_eq11(len(edges))
         assert rel_sl <= rel_sw + 0.02
         assert rel_sw <= rel_sa + 0.02
+
+
+@pytest.mark.parametrize("run", [sweg, sags, randomized, mosso],
+                         ids=["sweg", "sags", "randomized", "mosso"])
+@pytest.mark.parametrize("src,dst,match", [
+    ([0, 2], [1, 2], "self-loop"),
+    ([0, 1, 1], [1, 2, 0], "duplicate edge"),
+    ([0, 1], [1, 3], "must lie in"),
+], ids=["self_loop", "duplicate", "out_of_range"])
+def test_malformed_edges_rejected(spark, run, src, dst, match):
+    with pytest.raises(ValueError, match=match):
+        run(spark, pd.DataFrame({"src": src, "dst": dst}), 3)

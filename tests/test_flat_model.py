@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.flat_encode import encode_flat, flat_cost_of_partition
+from repro.baselines.flat_encode import encode_flat
 from repro.graphs import generators as gen
 from repro.model.flat import FlatSummary, decode_flat_pd
 from repro.oracle import assert_equivalent
@@ -58,12 +58,6 @@ class TestEncodeFlat:
         e = gen.nested_partition(40, levels=2, branching=2, p_top=0.08, ratio=5, seed=seed)
         g = np.random.default_rng(seed).integers(0, 8, 40).astype(np.int64)
         _lossless(encode_flat(spark, e, g), e)
-
-    def test_cost_agg_matches_materialized(self, spark):
-        e = gen.caveman_cliques(36, clique_size=6, p_rewire=0.1, seed=1)
-        g = (np.arange(36) // 6).astype(np.int64)
-        fs = encode_flat(spark, e, g)
-        assert flat_cost_of_partition(spark, e, g) == len(fs.p) + len(fs.cp) + len(fs.cn)
 
     def test_pair_counts_match_duckdb(self, spark):
         e = gen.er(30, 4.0, seed=5)

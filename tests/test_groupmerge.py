@@ -2,12 +2,11 @@
 import itertools
 from collections import Counter
 
-import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core import groupmerge as gm
 from repro.core import localenc as L
+from repro.core.candidates import run_groups
 
 
 def make_worker(roots, hedges=(), pedges=(), ext=(), radj=(), sizes=None,
@@ -292,17 +291,30 @@ class TestRunGroup:
         (9, lambda: bundle([4], pedges=[(4, 4, 1)])),
         (2, lambda: bundle([])),
     ], ids=["k6", "ext", "single_root", "empty"])
-    def test_pandas_adapter_matches_run_group(self, gid, make):
-        t, big_t, seed, hb = 1, 1, 7, 0
-        merges, pedges = gm.run_group(gid, make(), t, big_t, seed, hb)
-        tall = gm.tall_frame({gid: make()})
-        out = gm.run_group_pandas(tall, t, big_t, seed, hb)
-        rows = list(zip(out["kind"], out["x"].tolist(), out["y"].tolist(), out["v"].tolist()))
-        assert [r[1:] for r in rows if r[0] == "merge"] == merges
-        assert [r[1:] for r in rows if r[0] == "pedge"] == pedges
-        assert set(out["gid"]) <= {gid}
-        if len(out):
-            assert out.dtypes[["gid", "x", "y", "v"]].eq(np.int64).all()
+    def test_pandas_adapter_matches_run_group(self, spark, gid, make):
+        # the mapInPandas adapter inside run_groups, one group at a time
+        args = (1, 1, 7, 0)
+        expected = gm.run_group(gid, make(), *args)
+        assert run_groups(gm.run_group, {gid: make()}, args, spark) == [expected]
+
+    def test_run_groups_spark_equals_local(self, spark):
+        # k6, ext, single_root and empty groups, keyed out of gid order
+        bundles = {
+            9: bundle([4], pedges=[(4, 4, 1)]),
+            0: k6_bundle(),
+            5: bundle([0, 1, 2], pedges=[(0, 2, 1), (1, 2, 1)],
+                      ext=[(0, 99, 1), (1, 99, 1)], radj=[(0, 2), (1, 2), (0, 99)]),
+            2: bundle([]),
+        }
+        args = (1, 1, 7, 0)
+        local = run_groups(gm.run_group, bundles, args)
+        assert local == [gm.run_group(g, bundles[g], *args) for g in (0, 2, 5, 9)]
+        assert local[0][0]  # k6 merges
+        assert run_groups(gm.run_group, bundles, args, spark) == local
+
+    def test_run_groups_no_groups(self, spark):
+        assert run_groups(gm.run_group, {}, (1, 1, 7, 0)) == []
+        assert run_groups(gm.run_group, {}, (1, 1, 7, 0), spark) == []
 
     def test_new_ids_unique_across_groups(self):
         ids = {gm.new_id(t, g, s) for t in (1, 2) for g in (0, 1, 7) for s in (0, 1)}

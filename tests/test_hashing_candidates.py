@@ -1,12 +1,11 @@
-"""Shingle and candidate-set tests, including numpy/Spark equivalence."""
+"""Shingle and candidate-set tests."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import candidates
-from repro.core.hashing import P31, hash_params, node_hash_np, shingles_np, shingles_spark
+from repro.core.hashing import P31, hash_params, node_hash_np, shingles_np
 from repro.graphs import generators as gen
-from repro.graphs.ops import spark_edges
 
 
 class TestHash:
@@ -49,20 +48,6 @@ class TestShingles:
         sh = shingles_np(e, lr, seed=0, t=1).set_index("root")["shingle"]
         h = node_hash_np(3, *hash_params(0, 1))
         assert sh.loc[2] == h[2]
-
-    def test_spark_equals_numpy(self, spark):
-        e = gen.nested_partition(50, levels=2, branching=3, p_top=0.06, ratio=6, seed=1)
-        lr = np.arange(50, dtype=np.int64)
-        lr[25:] = 25 + (np.arange(25) // 5) * 5  # some merged roots
-        got_np = shingles_np(e, lr, seed=3, t=2).sort_values("root").reset_index(drop=True)
-        got_sp = shingles_spark(
-            spark, spark_edges(spark, e),
-            pd.DataFrame({"sub": np.arange(50, dtype=np.int64), "root": lr}),
-            seed=3, t=2,
-        )
-        pd.testing.assert_frame_equal(
-            got_sp.astype({"shingle": np.int64}), got_np.astype({"shingle": np.int64})
-        )
 
 
 class TestCandidateSets:

@@ -247,6 +247,16 @@ class TestArguments:
         with pytest.raises(ValueError, match="must lie in"):
             slugger(edges, 3, T=2, engine="local")
 
+    def test_unknown_engine(self):
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="engine must be 'local' or 'spark'"):
+            slugger(edges, 2, T=2, engine="sprak")
+
+    def test_spark_engine_without_session(self):
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="needs a SparkSession"):
+            slugger(edges, 2, T=2, engine="spark", spark=None)
+
     def test_reversed_orientation_accepted(self):
         edges = pd.DataFrame({"src": [1, 2, 2], "dst": [0, 1, 0]})
         res = slugger(edges, 3, T=2, engine="local")
