@@ -164,9 +164,13 @@ def sweg(
 ) -> SwegResult:
     """Run SWEG and return the optimally flat-encoded summary.
 
+    ``T``: number of rounds; ``T=0`` is legal and flat-encodes the identity
+    partition, a negative ``T`` raises ValueError.
     ``engine``: "local" (groups in-process) or "spark" (one mapInPandas
     job per round); anything else raises ValueError, as does a malformed
     edge list (see :func:`repro.graphs.ops.check_edges`)."""
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
     candidates.check_engine(engine, spark)
     check_edges(edges, n_sub)
     t0 = time.perf_counter()

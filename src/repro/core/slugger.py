@@ -193,15 +193,19 @@ def slugger(
     snapshot_ts: tuple[int, ...] = (),
 ) -> SluggerResult:
     """Run SLUGGER on a simple undirected pandas edge list (``src``,
-    ``dst``); a self-loop, a duplicate edge or an id outside
-    ``[0, n_sub)`` raises ValueError.
+    ``dst``); a non-integer column, a self-loop, a duplicate edge or an id
+    outside ``[0, n_sub)`` raises ValueError.
 
+    ``T``: number of rounds, in ``[0, 128)``; ``T=0`` is legal and gives
+    the identity summary, which is then pruned.
     ``hb``: height bound (0 = unlimited, Table V). ``engine``: "spark"
     (groups in one mapInPandas job; needs ``spark``) or "local" (same
     worker, in-process); anything else raises ValueError.
     ``snapshot_ts``: iteration counts at which to snapshot a *pruned copy*
     of the state (Table III); the run continues unaffected.
     """
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
     # bit widths of groupmerge.new_id; a group never has more roots than n_sub
     if T >= 128:
         raise ValueError(f"T must be < 128, got {T}")

@@ -33,7 +33,12 @@ def canonicalize_pd(edges: pd.DataFrame) -> pd.DataFrame:
 
 def check_edges(edges: pd.DataFrame, n_sub: int) -> None:
     """Raise ValueError unless ``edges`` is a simple undirected edge list
-    over ids 0..n_sub-1, each edge once in either orientation."""
+    over ids 0..n_sub-1, each edge once in either orientation, with integer
+    ``src``/``dst`` columns (floats are rejected, even integral ones)."""
+    for c in ("src", "dst"):
+        if not pd.api.types.is_integer_dtype(edges[c]):
+            raise ValueError(
+                f"edge column {c!r} must have an integer dtype, got {edges[c].dtype}")
     src, dst = (edges[c].to_numpy(dtype=np.int64) for c in ("src", "dst"))
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
     if len(lo) and (lo.min() < 0 or hi.max() >= n_sub):

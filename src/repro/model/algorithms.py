@@ -103,9 +103,10 @@ def pagerank_spark(
             .withColumn("mass", F.coalesce("mass", F.lit(0.0)))
         )
         total = ranks.agg(F.sum(F.lit(d) * F.col("mass")).alias("t")).collect()[0]["t"]
+        # cut the lineage, or every iteration re-plans all earlier ones
         ranks = ranks.select(
             "u", (F.lit(d) * F.col("mass") + F.lit((1.0 - total) / n)).alias("r")
-        )
+        ).localCheckpoint()
     out = ranks.toPandas().sort_values("u")
     sym.unpersist()
     return out["r"].to_numpy()

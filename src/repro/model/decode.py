@@ -3,11 +3,15 @@
 A subedge (u, v) exists iff the number of p-edges covering (u, v)
 exceeds the number of n-edges covering it (Sect. II-B). SLUGGER's
 transformations preserve coverage *exactly*, so the net count is always
-in {0, 1}; both decoders assert this, which turns any encoding bug into
+in {0, 1}; both decoders check this, which turns any encoding bug into
 a loud failure rather than a silently wrong graph.
 
-``decode`` is the Spark implementation (joins over the membership
-closure); ``decode_pd`` is the pandas twin used by fast unit tests.
+``decode`` is the Spark implementation: the driver builds the (sub, sup)
+membership closure (``HierSummary.membership``) and ships it as one
+DataFrame, and the result is a lazy plan of joins and one aggregation,
+so the decode runs a fixed number of Spark jobs whatever the tree depth.
+Its {0, 1} check is part of that aggregation and fires when the caller
+runs an action. ``decode_pd`` is the pandas twin used by fast unit tests.
 """
 from __future__ import annotations
 
@@ -20,46 +24,24 @@ from .summary import HierSummary
 
 
 def membership_df(spark: SparkSession, summary: HierSummary) -> DataFrame:
-    """(sub, sup) closure as a Spark DataFrame, built by iterated joins up
-    the hierarchy (one join per tree level)."""
-    base = spark.createDataFrame(
-        pd.DataFrame({"sub": np.arange(summary.n_sub, dtype=np.int64)}),
-        schema="sub long",
-    ).withColumn("sup", F.col("sub"))
-    if len(summary.hedges) == 0:
-        return base
-    pm = spark.createDataFrame(
-        summary.hedges.rename(columns={"parent": "p", "child": "c"}),
-        schema="p long, c long",
-    )
-    frontier = base
-    out = [base]
-    # Each pass lifts the frontier one level; stops when no row has a parent.
-    while True:
-        lifted = (
-            frontier.join(pm, frontier["sup"] == pm["c"], "inner")
-            .select("sub", F.col("p").alias("sup"))
-        )
-        lifted = lifted.persist()
-        if lifted.isEmpty():
-            lifted.unpersist()
-            break
-        out.append(lifted)
-        frontier = lifted
-    res = out[0]
-    for df in out[1:]:
-        res = res.unionByName(df)
-    return res
+    """(sub, sup) closure as a Spark DataFrame: built on the driver by
+    ``HierSummary.membership`` and shipped as one DataFrame."""
+    return spark.createDataFrame(summary.membership(), schema="sub long, sup long")
 
 
 def decode(spark: SparkSession, summary: HierSummary, *, check: bool = True) -> DataFrame:
-    """Decode to the canonical edge DataFrame (src < dst) with Spark joins."""
-    mem = membership_df(spark, summary)
+    """Decode to the canonical edge DataFrame (src < dst) with Spark joins.
+
+    The result is lazy; nothing runs until the caller's action. With
+    ``check``, a subnode pair whose net coverage lies outside {0, 1} makes
+    that action raise a ``pyspark.errors.PySparkException`` whose message
+    contains ``net coverage outside {0,1}``."""
     if len(summary.pedges) == 0:
         return spark.createDataFrame(
             pd.DataFrame({"src": pd.Series(dtype=np.int64), "dst": pd.Series(dtype=np.int64)}),
             schema="src long, dst long",
         )
+    mem = membership_df(spark, summary)
     pe = spark.createDataFrame(summary.pedges, schema="x long, y long, sign long")
     mx = mem.select(F.col("sub").alias("u"), F.col("sup").alias("x"))
     my = mem.select(F.col("sub").alias("v"), F.col("sup").alias("y"))
@@ -88,8 +70,12 @@ def decode(spark: SparkSession, summary: HierSummary, *, check: bool = True) -> 
         .agg(F.sum("sign").alias("net"))
     )
     if check:
-        bad = net.filter((F.col("net") < 0) | (F.col("net") > 1)).count()
-        assert bad == 0, f"{bad} subnode pairs with net coverage outside {{0,1}}"
+        net = net.withColumn(
+            "net",
+            F.when((F.col("net") < 0) | (F.col("net") > 1),
+                   F.raise_error(F.lit("net coverage outside {0,1}")))
+            .otherwise(F.col("net")),
+        )
     return net.filter("net = 1").select("src", "dst")
 
 

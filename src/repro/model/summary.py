@@ -107,19 +107,34 @@ class HierSummary:
         return memo
 
     def membership(self) -> pd.DataFrame:
-        """(sub, sup) for every subnode u and every supernode containing u
-        (including the singleton {u} itself)."""
-        parent = self.parent_map()
-        subs, sups = [], []
-        for u in range(self.n_sub):
-            v = u
-            while True:
-                subs.append(u)
-                sups.append(v)
-                if v not in parent:
-                    break
-                v = parent[v]
-        return pd.DataFrame({"sub": np.array(subs, dtype=np.int64), "sup": np.array(sups, dtype=np.int64)})
+        """(sub, sup) int64 rows for every subnode u and every supernode
+        containing u (including the singleton {u} itself), sorted by sub
+        and then from {u} up to its root.
+
+        The membership closure the Spark ``decode`` ships as one DataFrame.
+        Built on the driver with one vectorized step per tree level: the
+        h-edges are sorted by child once, and each step looks up the parents
+        of the current frontier with ``np.searchsorted``. Supernode ids reach
+        about 2**40 (``groupmerge.new_id``), so nothing is indexed by id.
+        ``decode_pd`` uses ``leaf_members`` instead, which keeps the two
+        decoders independent."""
+        child = self.hedges["child"].to_numpy(dtype=np.int64)
+        order = np.argsort(child, kind="stable")
+        child = child[order]
+        parent = self.hedges["parent"].to_numpy(dtype=np.int64)[order]
+        sub = np.arange(self.n_sub, dtype=np.int64)
+        sup = sub
+        subs, sups = [sub], [sup]
+        while len(sup):
+            i = np.searchsorted(child, sup)
+            up = i < len(child)
+            up[up] = child[i[up]] == sup[up]
+            sub, sup = sub[up], parent[i[up]]
+            subs.append(sub)
+            sups.append(sup)
+        sub, sup = np.concatenate(subs), np.concatenate(sups)
+        order = np.argsort(sub, kind="stable")
+        return pd.DataFrame({"sub": sub[order], "sup": sup[order]})
 
     # ---- invariants --------------------------------------------------------
 

@@ -79,6 +79,11 @@ class TestSweg:
         with pytest.raises(ValueError, match="needs a SparkSession"):
             sweg(None, edges, 2, T=2, engine="spark")
 
+    def test_negative_iterations(self, spark):
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="T must be >= 0"):
+            sweg(spark, edges, 2, T=-1, engine="local")
+
     def test_compresses_cliques(self, spark):
         edges, n = gen.caveman_cliques(36, clique_size=6, p_rewire=0.0, seed=0), 36
         res = sweg(spark, edges, n, T=4, seed=0, engine="local")
@@ -178,7 +183,8 @@ class TestOrdering:
     ([0, 2], [1, 2], "self-loop"),
     ([0, 1, 1], [1, 2, 0], "duplicate edge"),
     ([0, 1], [1, 3], "must lie in"),
-], ids=["self_loop", "duplicate", "out_of_range"])
+    ([0.0, 0.5], [1.0, 2.0], "integer dtype"),
+], ids=["self_loop", "duplicate", "out_of_range", "float_ids"])
 def test_malformed_edges_rejected(spark, run, src, dst, match):
     with pytest.raises(ValueError, match=match):
         run(spark, pd.DataFrame({"src": src, "dst": dst}), 3)

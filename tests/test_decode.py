@@ -2,6 +2,7 @@
 net-coverage guard that catches encoding bugs."""
 import pandas as pd
 import pytest
+from pyspark.errors import PySparkException
 
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
@@ -32,6 +33,15 @@ def hier_example() -> tuple[HierSummary, pd.DataFrame]:
     return s, want
 
 
+def double_cover() -> HierSummary:
+    """The pair (0, 1) is covered by p-edge (0, 1) and by the p-loop on its
+    parent 10: net coverage 2."""
+    nodes = pd.DataFrame({"nid": [0, 1, 10], "size": [1, 1, 2]})
+    hedges = pd.DataFrame({"parent": [10, 10], "child": [0, 1]})
+    pedges = pd.DataFrame({"x": [0, 10], "y": [1, 10], "sign": [1, 1]})
+    return HierSummary(n_sub=2, nodes=nodes, hedges=hedges, pedges=pedges)
+
+
 class TestDecodePandas:
     def test_identity_roundtrip(self):
         e = gen.er(40, 4.0, seed=0)
@@ -55,12 +65,8 @@ class TestDecodePandas:
         assert (2, 5) not in pairs and (3, 5) not in pairs
 
     def test_net_guard_triggers_on_double_cover(self):
-        nodes = pd.DataFrame({"nid": [0, 1, 10], "size": [1, 1, 2]})
-        hedges = pd.DataFrame({"parent": [10, 10], "child": [0, 1]})
-        pedges = pd.DataFrame({"x": [0, 10], "y": [1, 10], "sign": [1, 1]})
-        s = HierSummary(n_sub=2, nodes=nodes, hedges=hedges, pedges=pedges)
         with pytest.raises(AssertionError, match="net coverage"):
-            decode_pd(s)
+            decode_pd(double_cover())
 
 
 class TestDecodeSpark:
@@ -90,3 +96,42 @@ class TestDecodeSpark:
     def test_empty_pedges_decodes_empty(self, spark):
         s = HierSummary.identity(gen.path(3).iloc[0:0], 3)
         assert decode(spark, s).count() == 0
+
+    def test_net_guard_fires_at_action(self, spark):
+        # decode() stays lazy; the guard raises inside the caller's action
+        got = decode(spark, double_cover())
+        with pytest.raises(PySparkException, match="net coverage"):
+            got.toPandas()
+        with pytest.raises(PySparkException, match="net coverage"):
+            got.count()
+
+    def test_membership_df_equals_driver_closure(self, spark):
+        s, _ = hier_example()
+        mem = membership_df(spark, s).toPandas()
+        want = s.membership()
+        assert set(zip(mem["sub"], mem["sup"])) == set(zip(want["sub"], want["sup"]))
+        assert len(mem) == len(want)
+
+    def test_job_count_does_not_grow_with_depth(self, spark):
+        def chain(depth: int) -> HierSummary:
+            # {0, 1} under supernode 10, nested under 11, ..., 9 + depth,
+            # with a p-loop on the top supernode: one subedge (0, 1)
+            tops = list(range(10, 10 + depth))
+            nodes = pd.DataFrame({"nid": [0, 1] + tops, "size": [1, 1] + [2] * depth})
+            hedges = pd.DataFrame({"parent": [10, 10] + tops[1:],
+                                   "child": [0, 1] + tops[:-1]})
+            pedges = pd.DataFrame({"x": [tops[-1]], "y": [tops[-1]], "sign": [1]})
+            return HierSummary(n_sub=2, nodes=nodes, hedges=hedges, pedges=pedges)
+
+        sc = spark.sparkContext
+        jobs = []
+        for depth in (1, 6):
+            group = f"test_decode_depth_{depth}"
+            sc.setJobGroup(group, group)
+            try:
+                got = decode(spark, chain(depth)).toPandas()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            assert list(zip(got["src"], got["dst"])) == [(0, 1)]
+            jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+        assert jobs[0] == jobs[1] > 0

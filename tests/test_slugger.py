@@ -257,6 +257,22 @@ class TestArguments:
         with pytest.raises(ValueError, match="needs a SparkSession"):
             slugger(edges, 2, T=2, engine="spark", spark=None)
 
+    def test_negative_iterations(self):
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="T must be >= 0"):
+            slugger(edges, 2, T=-1, engine="local")
+
+    def test_zero_iterations_is_identity(self):
+        edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+        res = slugger(edges, 3, T=0, engine="local")
+        assert len(res.summary.hedges) == 0
+        assert_lossless_pd(res.summary, edges)
+
+    def test_float_ids(self):
+        edges = pd.DataFrame({"src": [0.0, 0.5], "dst": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="integer dtype"):
+            slugger(edges, 3, T=2, engine="local")
+
     def test_reversed_orientation_accepted(self):
         edges = pd.DataFrame({"src": [1, 2, 2], "dst": [0, 1, 0]})
         res = slugger(edges, 3, T=2, engine="local")

@@ -48,6 +48,77 @@ class TestDerived:
         assert got == {(0, 0), (0, 10), (1, 1), (1, 10), (2, 2)}
 
 
+def naive_membership(s: HierSummary) -> set[tuple[int, int]]:
+    """Reference closure: walk each subnode's parent pointers to its root."""
+    parent = s.parent_map()
+    out = set()
+    for u in range(s.n_sub):
+        v = u
+        out.add((u, v))
+        while v in parent:
+            v = parent[v]
+            out.add((u, v))
+    return out
+
+
+def closure(s: HierSummary) -> set[tuple[int, int]]:
+    mem = s.membership()
+    assert mem["sub"].dtype == np.int64 and mem["sup"].dtype == np.int64
+    return set(zip(mem["sub"].tolist(), mem["sup"].tolist()))
+
+
+def deep_forest() -> HierSummary:
+    """A complete binary tree of depth 4 over the subnodes 0..15 in shuffled
+    order, a depth-1 tree over {16, 17}, and free subnodes 18 and 19. The
+    internal ids are >= 2**40 and far apart, as ``groupmerge.new_id`` makes
+    them; the h-edges are listed in shuffled order."""
+    rng = np.random.default_rng(0)
+    ids = iter((1 << 40) + (np.arange(16) << 20))
+    level = rng.permutation(16).tolist()
+    parents, children = [], []
+    while len(level) > 1:
+        nxt = []
+        for a, b in zip(level[::2], level[1::2]):
+            p = int(next(ids))
+            parents += [p, p]
+            children += [a, b]
+            nxt.append(p)
+        level = nxt
+    p = int(next(ids))
+    parents += [p, p]
+    children += [16, 17]
+    order = rng.permutation(len(parents))
+    hedges = pd.DataFrame({"parent": np.array(parents)[order],
+                           "child": np.array(children)[order]}, dtype=np.int64)
+    nids = list(range(20)) + sorted(set(parents))
+    s = HierSummary(n_sub=20, nodes=pd.DataFrame({"nid": nids, "size": 1}, dtype=np.int64),
+                    hedges=hedges, pedges=empty_pedges())
+    members = s.leaf_members()
+    s.nodes["size"] = [len(members[v]) for v in nids]
+    return s
+
+
+class TestMembership:
+    """``membership`` against a per-subnode parent walk, as sets."""
+
+    def test_depth_four_forest_with_large_ids(self):
+        s = deep_forest()
+        s.validate()
+        want = naive_membership(s)
+        assert max(sum(1 for w, _ in want if w == u) for u in range(20)) == 5
+        assert closure(s) == want
+        assert len(s.membership()) == len(want)
+
+    def test_no_hedges(self):
+        s = HierSummary.identity(gen.path(5), 5)
+        assert closure(s) == naive_membership(s) == {(u, u) for u in range(5)}
+
+    def test_no_subnodes(self):
+        s = HierSummary(n_sub=0, nodes=pd.DataFrame({"nid": [], "size": []}, dtype=np.int64),
+                        hedges=empty_hedges(), pedges=empty_pedges())
+        assert closure(s) == naive_membership(s) == set()
+
+
 class TestValidate:
     def test_ok(self):
         tiny_summary().validate()
