@@ -7,11 +7,20 @@ saving clears the iteration threshold θ(t) (Eq. 9). Mergers re-encode
 p/n-edges locally via the memoized Case-1/Case-2 solvers
 (:mod:`repro.core.localenc`) and track the cross-group consolidation the
 global phase (:mod:`repro.core.consolidate`) will apply, so local Saving
-scores match the global outcome. Saving and merging find the Case-2 edges
-of a panel in one pass over its adjacency, bucketed by root C
-(``GroupWorker._case2_buckets``); Saving reads each bucket's effect from
-the memo in :func:`repro.core.localenc.case2_effect`, and merging solves
-each bucket to apply it.
+scores match the global outcome.
+
+Saving and merging read each root's *side scan* (``GroupWorker._side``):
+its panel S̄_root, the p/n-edges inside it and its Case-2 edges, found in
+one pass over the panel's adjacency and bucketed by root C, scanned once
+per (root, role) with role A or B labels. Each scan also caches the effect
+of each bucket alone (:func:`repro.core.localenc.case2_effect`) and their
+sum per partner atom count. Saving(A, z) is the memoized Case-1 effect
+(:func:`repro.core.localenc.case1_effect`) plus both sides' sums, less each
+side's bucket for the other's root (those edges are Case 1), with every
+root C both sides touch re-scored on A's bucket followed by z's. A merge
+solves the same buckets to apply them and drops the scans of A, B and
+every C it touched; no other scan can see the edges or trees it changes
+(DESIGN.md §3.1).
 
 Groups are independent. Worker I/O is plain tuples: :func:`run_group`
 takes one group's bundle (see :data:`Bundle`) and returns the group's
@@ -45,6 +54,33 @@ def new_id(t: int, gid: int, seq: int) -> int:
 
 def _canon(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x <= y else (y, x)
+
+
+_ROLE_LABELS = ((L.A, L.A0, L.A1), (L.B, L.B0, L.B1))
+_C_TO_B = {L.C: L.B, L.C0: L.B0, L.C1: L.B1}
+
+
+class _Side:
+    """One root's side scan in one role: its panel S̄_root (labels, real
+    ids, atom count, singleton flags per atom), the p/n-edges inside it, its
+    Case-2 buckets and, per partner atom count, the one-sided Case-2
+    effects and their sum."""
+
+    __slots__ = ("labels", "reals", "n", "flags", "inner", "buckets", "effects")
+
+    def __init__(self, labels: tuple[int, ...], reals: tuple[int, ...],
+                 flags: tuple[bool, ...], inner: tuple, buckets: dict[int, tuple]):
+        self.labels, self.reals, self.flags = labels, reals, flags
+        self.inner, self.buckets = inner, buckets
+        self.n = len(flags)
+        self.effects: dict[int, tuple[dict[int, tuple], tuple[int, int, int, int]]] = {}
+
+
+def _case1_removal(sa: _Side, sb: _Side, b: int) -> tuple[tuple[int, int, int], ...]:
+    """Every p/n-edge inside the panel S̄_A ∪ S̄_B, labelled: each side's
+    inner edges and A's Case-2 bucket for B, relabelled to the B side."""
+    return sa.inner + sb.inner + tuple(
+        (lx, _C_TO_B[lc], s) for lx, lc, s in sa.buckets.get(b, ()))
 
 
 class GroupWorker:
@@ -112,6 +148,7 @@ class GroupWorker:
             else:
                 self.extnbr[a].add(b)
         self.merges: list[tuple[int, int, int]] = []  # (A, B, U)
+        self._sides: dict[tuple[int, int], _Side] = {}  # (root, role) -> scan
 
     # ------------------------------------------------------------------ util
 
@@ -176,53 +213,64 @@ class GroupWorker:
     def pcnt(self, a: int, b: int) -> int:
         return self.pmap[a].get(b, 0)
 
-    # ---------------------------------------------------------- panel lookup
+    # ------------------------------------------------------------ side scans
 
-    def _panel(self, root: int, base: int, c0: int, c1: int):
-        """(labels, reals, n_atoms, singleton flags) for one side S̄_root."""
-        kids = self.children.get(root, [])
-        if not kids:
-            return [base], [root], 1, (self.size[root] == 1,)
-        assert len(kids) == 2, f"non-binary supernode {root} during merging"
-        return (
-            [base, c0, c1],
-            [root, kids[0], kids[1]],
-            2,
-            (self.size[kids[0]] == 1, self.size[kids[1]] == 1),
-        )
+    def _side(self, root: int, role: int) -> _Side:
+        """The cached :class:`_Side` of ``root`` in ``role`` (0: A labels,
+        1: B labels), scanned on first use."""
+        side = self._sides.get((root, role))
+        if side is None:
+            side = self._sides[(root, role)] = self._scan(root, role)
+        return side
 
-    def _case1(self, a_root: int, b_root: int):
-        """(na, nb, flags, real2label, panel reals, removal-with-labels)."""
-        la, ra, na, fa = self._panel(a_root, L.A, L.A0, L.A1)
-        lb, rb, nb, fb = self._panel(b_root, L.B, L.B0, L.B1)
-        labels = la + lb
-        reals = ra + rb
-        real2label = dict(zip(reals, labels))
-        removal = []
-        for i in range(len(reals)):
-            for j in range(i, len(reals)):
-                s = self.edges.get(_canon(reals[i], reals[j]))
-                if s is not None:
-                    removal.append((labels[i], labels[j], s))
-        return na, nb, fa + fb, real2label, reals, removal
-
-    def _case2_buckets(self, panel_reals: list[int], real2label: dict[int, int]):
-        """Case-2 edges in one pass over the panel's adjacency: root C ->
-        [(panel label, C-side label, sign)] for every p/n-edge between the
-        yellow panel and S̄_C. Edges to deeper nodes of C's tree are out of
-        scope."""
+    def _scan(self, root: int, role: int) -> _Side:
+        """S̄_root, its inner edges and its Case-2 buckets, found in one pass
+        over the panel's adjacency: root C -> ((panel label, C-side label,
+        sign), ...) for every p/n-edge between S̄_root and S̄_C. Edges to
+        deeper nodes of C's tree are out of scope."""
+        base, c0, c1 = _ROLE_LABELS[role]
+        kids = self.children.get(root)
+        if kids:
+            assert len(kids) == 2, f"non-binary supernode {root} during merging"
+            labels, reals = (base, c0, c1), (root, kids[0], kids[1])
+            flags = (self.size[kids[0]] == 1, self.size[kids[1]] == 1)
+        else:
+            labels, reals, flags = (base,), (root,), (self.size[root] == 1,)
+        inner = []
         buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        for x in panel_reals:
-            lx = real2label[x]
+        for i, (x, lx) in enumerate(zip(reals, labels)):
             for y, s in self.adj.get(x, {}).items():
-                if y in real2label:
+                if y in reals:
+                    j = reals.index(y)
+                    if j >= i:  # each inner edge once
+                        inner.append((lx, labels[j], s))
                     continue
                 r = self.treeof(y)
                 if y == r:
                     buckets[r].append((lx, L.C, s))
                 elif self.parent.get(y) == r:
                     buckets[r].append((lx, L.C0 if self.children[r][0] == y else L.C1, s))
-        return buckets
+        return _Side(labels, reals, flags, tuple(inner),
+                     {c: tuple(es) for c, es in buckets.items()})
+
+    def _effects(self, side: _Side, role: int, n: int):
+        """({C: case2_effect of side's bucket alone}, their sum) with a
+        partner of ``n`` atoms, cached on the side: the score of a root C
+        only one side touches."""
+        got = side.effects.get(n)
+        if got is None:
+            per_c = {}
+            d = da = db = du = 0
+            for c, removed in side.buckets.items():
+                nc = 2 if self.children.get(c) else 1
+                e = per_c[c] = (L.case2_effect(side.n, n, nc, removed) if role == 0
+                                else L.case2_effect(n, side.n, nc, removed))
+                d += e[0]
+                da += e[1]
+                db += e[2]
+                du += e[3]
+            got = side.effects[n] = (per_c, (d, da, db, du))
+        return got
 
     def _shared_ext(self, a: int, b: int) -> list[tuple[int, int]]:
         """Root-level external (Y, sign) present at both A and B — exactly
@@ -231,6 +279,11 @@ class GroupWorker:
         if len(eb) < len(ea):
             ea, eb = eb, ea
         return [(y, s) for y, s in ea.items() if eb.get(y) == s]
+
+    def _n_shared_ext(self, a: int, b: int) -> int:
+        """``len(self._shared_ext(a, b))``, without building the list."""
+        ea, eb = self.ext_adj.get(a), self.ext_adj.get(b)
+        return len(ea.items() & eb.items()) if ea and eb else 0
 
     # --------------------------------------------------------------- scoring
 
@@ -243,15 +296,33 @@ class GroupWorker:
         den = self.eff_h(a) + self.eff_h(b) + self.inc[a] + self.inc[b] - self.pcnt(a, b)
         if den <= 0:
             return NO_MERGE
-        na, nb, flags, real2label, panel_reals, removal = self._case1(a, b)
-        d, da, db, du = L.effect(L.solve_case1(na, nb, flags, removal), removal)
-        for c_root, removed in self._case2_buckets(panel_reals, real2label).items():
-            e = L.case2_effect(na, nb, 2 if self.children.get(c_root) else 1, tuple(removed))
-            d += e[0]
-            da += e[1]
-            db += e[2]
-            du += e[3]
-        dext = len(self._shared_ext(a, b))
+        sa, sb = self._side(a, 0), self._side(b, 1)
+        na, nb = sa.n, sb.n
+        d, da, db, du = L.case1_effect(na, nb, sa.flags + sb.flags, _case1_removal(sa, sb, b))
+        # Case 2: each side's one-sided total, less its bucket for the other
+        # side's root (those edges are Case 1), with every root C both sides
+        # touch re-scored on the concatenated bucket
+        ea, ta = self._effects(sa, 0, nb)
+        eb, tb = self._effects(sb, 1, na)
+        d += ta[0] + tb[0]
+        da += ta[1] + tb[1]
+        db += ta[2] + tb[2]
+        du += ta[3] + tb[3]
+        for e in (ea.get(b), eb.get(a)):
+            if e is not None:
+                d -= e[0]
+                da -= e[1]
+                db -= e[2]
+                du -= e[3]
+        for c in sa.buckets.keys() & sb.buckets.keys():
+            e = L.case2_effect(na, nb, 2 if self.children.get(c) else 1,
+                               sa.buckets[c] + sb.buckets[c])
+            e1, e2 = ea[c], eb[c]
+            d += e[0] - e1[0] - e2[0]
+            da += e[1] - e1[1] - e2[1]
+            db += e[2] - e1[2] - e2[2]
+            du += e[3] - e1[3] - e2[3]
+        dext = self._n_shared_ext(a, b)
         # h-cost adjustment: nodes left edge-less by the rewrite get pruned
         adj = 0
         for root_node, delta in ((a, da), (b, db)):
@@ -270,14 +341,25 @@ class GroupWorker:
     def merge(self, a: int, b: int, u: int) -> None:
         """Merge roots a, b into new root u and re-encode locally."""
         # Case-1/Case-2 geometry is computed against the *pre-merge* trees.
-        na, nb, flags, real2label, panel_reals, removal = self._case1(a, b)
+        sa, sb = self._side(a, 0), self._side(b, 1)
+        na, nb = sa.n, sb.n
+        removal = _case1_removal(sa, sb, b)
+        c_roots = [c for c in sa.buckets if c != b]
+        c_roots += [c for c in sb.buckets if c != a and c not in sa.buckets]
         case2_plan = []
-        for c_root, removal2 in self._case2_buckets(panel_reals, real2label).items():
+        for c_root in c_roots:
+            removal2 = sa.buckets.get(c_root, ()) + sb.buckets.get(c_root, ())
             sol2 = L.solve_case2(na, nb, 2 if self.children.get(c_root) else 1, removal2)
             if sol2 is not None:
                 case2_plan.append((c_root, removal2, sol2))
-        sol1 = L.solve_case1(na, nb, flags, removal)
+        sol1 = L.solve_case1(na, nb, sa.flags + sb.flags, removal)
         shared = self._shared_ext(a, b)
+        # the merge edits edges only inside the panel and between it and the
+        # S̄_C above, and relabels only a's and b's trees: every other scan
+        # stays exact (DESIGN.md §3.1)
+        for r in (a, b, *c_roots):
+            self._sides.pop((r, 0), None)
+            self._sides.pop((r, 1), None)
 
         # --- structural merge ---
         self.children[u] = [a, b]
@@ -325,7 +407,7 @@ class GroupWorker:
             self.nbr[z].add(u)
 
         # --- apply Case 1 ---
-        label2real = {v: k for k, v in real2label.items()}
+        label2real = dict(zip(sa.labels + sb.labels, sa.reals + sb.reals))
         label2real[L.U] = u
         if sol1 is not None:
             for lx, ly, _ in removal:

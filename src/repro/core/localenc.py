@@ -20,9 +20,10 @@ iterative-deepening DFS with suffix-coverage pruning.
 Two process-global memo tables, both input-graph independent as in the
 paper ("the memoized results ... can even be used when summarizing
 different input graphs"): ``_memo`` holds solver results per (structure,
-target), and ``_effects`` holds :func:`case2_effect`, what one Case-2
-re-encoding changes in Saving, per (structure, removed edges), so scoring
-skips building the coverage target too.
+target), and ``_effects`` holds :func:`case1_effect` and
+:func:`case2_effect`, what one re-encoding changes in Saving, per
+(structure, removed edges), so scoring skips building the coverage target
+too.
 
 If no edge set at most as small is found within the depth/node budget,
 the caller keeps the old edges (always feasible), so the budget bounds
@@ -254,6 +255,16 @@ def effect(sol, removed) -> tuple[int, int, int, int]:
     return (len(sol) - len(removed), *(
         sum(lab in e[:2] for e in sol) - sum(lab in e[:2] for e in removed)
         for lab in (A, B, U)))
+
+
+def case1_effect(na: int, nb: int, singleton: tuple[bool, ...],
+                 removed: tuple[tuple[int, int, int], ...]) -> tuple[int, int, int, int]:
+    """:func:`effect` of Case 1, memoized on the arguments like
+    :func:`case2_effect`."""
+    key = ("c1", na, nb, singleton, removed)
+    if key not in _effects:
+        _effects[key] = effect(solve_case1(na, nb, singleton, list(removed)), removed)
+    return _effects[key]
 
 
 def case2_effect(na: int, nb: int, nc: int,

@@ -198,14 +198,17 @@ def slugger(
 
     ``T``: number of rounds, in ``[0, 128)``; ``T=0`` is legal and gives
     the identity summary, which is then pruned.
-    ``hb``: height bound (0 = unlimited, Table V). ``engine``: "spark"
-    (groups in one mapInPandas job; needs ``spark``) or "local" (same
-    worker, in-process); anything else raises ValueError.
+    ``hb``: height bound (0 = unlimited, Table V); ``hb < 0`` raises
+    ValueError. ``engine``: "spark" (groups in one mapInPandas job; needs
+    ``spark``) or "local" (same worker, in-process); anything else raises
+    ValueError.
     ``snapshot_ts``: iteration counts at which to snapshot a *pruned copy*
     of the state (Table III); the run continues unaffected.
     """
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
+    if hb < 0:
+        raise ValueError(f"hb must be >= 0, got {hb}")
     # bit widths of groupmerge.new_id; a group never has more roots than n_sub
     if T >= 128:
         raise ValueError(f"T must be < 128, got {T}")

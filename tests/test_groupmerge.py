@@ -1,5 +1,6 @@
 """Unit tests of the per-group merge worker (Algorithm 2 internals)."""
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -229,11 +230,13 @@ class TestPinned:
 
     @pytest.mark.parametrize("name", PINNED_GROUPS)
     def test_case2_buckets_match_brute_force(self, name):
+        # A's side scan, then z's, without the buckets of C in {a, z}
         group = PINNED_GROUPS[name]
         w = make_worker(**group)
         c_labels = (L.C, L.C0, L.C1)
         for a, b in itertools.permutations(group["roots"], 2):
-            _, _, _, real2label, panel_reals, _ = w._case1(a, b)
+            sa, sb = w._side(a, 0), w._side(b, 1)
+            real2label = dict(zip(sa.reals + sb.reals, sa.labels + sb.labels))
             want: dict[int, Counter] = {}
             for c in set(group["roots"]) - {a, b}:
                 s_bar = [c] + w.children.get(c, [])
@@ -244,8 +247,22 @@ class TestPinned:
                     if x in real2label and y in s_bar)
                 if found:
                     want[c] = found
-            got = w._case2_buckets(panel_reals, real2label)
-            assert {c: Counter(es) for c, es in got.items()} == want, (a, b)
+            got = {c: Counter(sa.buckets.get(c, ()) + sb.buckets.get(c, ()))
+                   for c in (sa.buckets.keys() | sb.buckets.keys()) - {a, b}}
+            assert got == want, (a, b)
+
+    @pytest.mark.parametrize("name", PINNED_GROUPS)
+    def test_case1_removal_match_brute_force(self, name):
+        group = PINNED_GROUPS[name]
+        w = make_worker(**group)
+        for a, b in itertools.permutations(group["roots"], 2):
+            sa, sb = w._side(a, 0), w._side(b, 1)
+            real2label = dict(zip(sa.reals + sb.reals, sa.labels + sb.labels))
+            want = Counter((frozenset((real2label[x], real2label[y])), s)
+                           for (x, y), s in w.edges.items()
+                           if x in real2label and y in real2label)
+            got = Counter((frozenset((lx, ly)), s) for lx, ly, s in gm._case1_removal(sa, sb, b))
+            assert got == want, (a, b)
 
     @pytest.mark.parametrize("key", MERGED, ids=lambda k: "-".join(map(str, k)))
     def test_merge_reencoding(self, key):
@@ -253,6 +270,74 @@ class TestPinned:
         w = make_worker(**PINNED_GROUPS[name])
         w.merge(a, b, U0)
         assert sorted(w.edges.items()) == self.MERGED[key]
+
+
+def random_group(seed, n_roots=7):
+    """Roots that are leaves, two-leaf trees or depth-2 trees, with random
+    signed p/n-edges between nodes of different trees, between siblings
+    and as self-loops on internal nodes, and random root-level externals."""
+    rng = random.Random(seed)
+    ids = itertools.count()
+    roots, hedges, nodes = [], [], []
+
+    def tree(depth):
+        v = next(ids)
+        nodes.append(v)
+        if depth:
+            kids = [tree(depth - 1), tree(rng.randrange(depth))]
+            hedges.extend((v, c) for c in kids)
+        return v
+
+    for _ in range(n_roots):
+        roots.append(tree(rng.choice((0, 1, 2))))
+    parent = {c: p for p, c in hedges}
+
+    def top(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    internal = {p for p, _ in hedges}
+    pedges = [(x, y, rng.choice((1, -1)))
+              for x, y in itertools.combinations_with_replacement(nodes, 2)
+              if (x == y and x in internal
+                  or x != y and (top(x) != top(y) or parent.get(x, x) == parent.get(y, y)))
+              and rng.random() < 0.35]
+    ext = [(r, 900 + y, rng.choice((1, -1))) for r in roots for y in range(4)
+           if rng.random() < 0.6]
+    return dict(roots=roots, hedges=hedges, pedges=pedges, ext=ext)
+
+
+STALE_GROUPS = {**PINNED_GROUPS, "random": random_group(3)}
+
+
+@pytest.mark.parametrize("name", STALE_GROUPS)
+def test_side_scans_never_stale(name):
+    """After every merge, Saving from the cached side scans equals Saving
+    with the caches emptied, and merging through them gives the edges a
+    worker that rescans before every merge gives."""
+    group = STALE_GROUPS[name]
+    w, ref = make_worker(**group), make_worker(**group)
+    rng = random.Random(0)
+
+    def scores():
+        return {(a, z): w.saving(a, z) for a, z in itertools.permutations(sorted(w.roots), 2)}
+
+    scores()  # fill the caches before the first merge
+    for seq in itertools.count():
+        if len(w.roots) < 2:
+            break
+        a, b = rng.sample(sorted(w.roots), 2)
+        u = gm.new_id(1, 0, seq)
+        w.merge(a, b, u)
+        ref._sides.clear()
+        ref.merge(a, b, u)
+        assert sorted(w.edges.items()) == sorted(ref.edges.items()), (a, b)
+        cached = scores()
+        kept, w._sides = w._sides, {}
+        assert cached == scores(), (a, b)
+        w._sides = kept  # the next merge reads the caches built before it
+    assert seq == len(group["roots"]) - 1
 
 
 def bundle(roots, nodes=None, hedges=(), pedges=(), ext=(), radj=()):

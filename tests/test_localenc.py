@@ -214,6 +214,18 @@ class TestMemoization:
         assert L.memo_size() == 0
 
 
+class TestCase1Effect:
+    @pytest.mark.parametrize("na,nb,flags,removed", [
+        (1, 1, (True, True), ((A, B, 1),)),  # equal cost: moves up to (U, U)
+        (2, 2, (False,) * 4, ((A0, B0, 1), (A0, B1, 1), (A1, B0, 1), (A1, B1, 1))),  # to (A, B)
+        (2, 1, (True, True, False), ((A, A, 1), (A, B, 1), (B, B, 1))),  # to (U, U)
+        (1, 2, (True, False, True), ((A, B0, 1), (A, B0, -1))),  # cancels out: dropped
+    ])
+    def test_matches_solver(self, na, nb, flags, removed):
+        sol = L.solve_case1(na, nb, flags, list(removed))
+        assert L.case1_effect(na, nb, flags, removed) == L.effect(sol, removed)
+
+
 class TestCase2Effect:
     @pytest.mark.parametrize("na,nb,nc,removed", [
         (1, 1, 1, ((A, C, 1), (B, C, 1))),  # lift to (U, C)

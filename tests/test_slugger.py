@@ -2,12 +2,13 @@
 equivalence, pinned output digests, threshold/iteration behaviour, height
 bounds, argument checks."""
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import localenc
+from repro.core import groupmerge, localenc
 from repro.core.slugger import slugger
 from repro.graphs import datasets
 from repro.graphs import generators as gen
@@ -64,6 +65,19 @@ class TestGolden:
         res = slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
         assert digest(res.summary) == (
             "88c0427bb74475699b88f39a06517a1ea73edca5af89a1029264234192cdf892")
+
+    def test_ppi_like_t5_control_flow(self, monkeypatch):
+        # Algorithm 2 scores and merges the same pairs: counts recorded
+        # before Saving read cached side scans
+        calls = Counter()
+        for name in ("saving", "merge"):
+            def counted(self, *args, _orig=getattr(groupmerge.GroupWorker, name), _name=name):
+                calls[_name] += 1
+                return _orig(self, *args)
+            monkeypatch.setattr(groupmerge.GroupWorker, name, counted)
+        edges = datasets.load("ppi_like", scale="test", seed=0)
+        slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
+        assert calls == {"saving": 2434, "merge": 58}
 
 
 class TestLossless:
@@ -261,6 +275,12 @@ class TestArguments:
         edges = pd.DataFrame({"src": [0], "dst": [1]})
         with pytest.raises(ValueError, match="T must be >= 0"):
             slugger(edges, 2, T=-1, engine="local")
+
+    def test_negative_height_bound(self):
+        # a truthy hb < 0 would block every pair and return the identity
+        edges = pd.DataFrame({"src": [0], "dst": [1]})
+        with pytest.raises(ValueError, match="hb must be >= 0"):
+            slugger(edges, 2, T=2, hb=-1, engine="local")
 
     def test_zero_iterations_is_identity(self):
         edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
