@@ -26,7 +26,12 @@ def _pair_counts(spark: SparkSession, edges: pd.DataFrame, group: np.ndarray):
         pd.DataFrame({"sub": np.arange(len(group), dtype=np.int64), "g": group.astype(np.int64)}),
         schema="sub long, g long",
     )
-    e = spark.createDataFrame(edges[["src", "dst"]], schema="src long, dst long")
+    # one orientation (src < dst), the one the C- pairs below are built in
+    src, dst = (edges[c].to_numpy(dtype=np.int64) for c in ("src", "dst"))
+    e = spark.createDataFrame(
+        pd.DataFrame({"src": np.minimum(src, dst), "dst": np.maximum(src, dst)}),
+        schema="src long, dst long",
+    )
     tagged = (
         e.join(gmap.withColumnRenamed("sub", "src").withColumnRenamed("g", "gs"), "src")
         .join(gmap.withColumnRenamed("sub", "dst").withColumnRenamed("g", "gd"), "dst")

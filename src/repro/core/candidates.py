@@ -2,7 +2,8 @@
 
 Roots are grouped by shingle value; oversized groups are recursively
 re-divided with further independent shingles (the paper uses up to 10
-levels; shingle collisions make >3 levels moot at our scale) and finally
+levels; shingle collisions make >3 levels moot at our scale; a level is
+computed only once some group needs it) and finally
 split randomly so no candidate set exceeds ``max_size`` (paper: 500).
 Per-iteration seeds vary the candidate sets across iterations.
 
@@ -35,9 +36,17 @@ def assign_groups(
 ) -> pd.DataFrame:
     """(root, gid): candidate-set id per current root."""
     # level-0 shingles define the base grouping; further levels refine
-    sh = [shingles_np(edges, leaf_root, seed + 7919 * lvl, t) for lvl in range(MAX_LEVELS)]
-    roots = sh[0]["root"].to_numpy()
-    cols = np.stack([s.set_index("root").loc[roots, "shingle"].to_numpy() for s in sh], axis=1)
+    # oversized groups only, so each is computed on first use. Every level
+    # lists the same roots in the same (sorted) order.
+    sh0 = shingles_np(edges, leaf_root, seed, t)
+    roots = sh0["root"].to_numpy()
+    cols = {0: sh0["shingle"].to_numpy()}
+
+    def level(lvl: int) -> np.ndarray:
+        if lvl not in cols:
+            cols[lvl] = shingles_np(edges, leaf_root, seed + 7919 * lvl, t)["shingle"].to_numpy()
+        return cols[lvl]
+
     rng = np.random.default_rng((seed * 31 + t) & 0x7FFFFFFF)
 
     gid = np.full(len(roots), -1, dtype=np.int64)
@@ -49,7 +58,7 @@ def assign_groups(
         idx, lvl = stack.pop()
         must_split = lvl == 0 or len(idx) > max_size
         if must_split and lvl < MAX_LEVELS:
-            vals = cols[idx, lvl]
+            vals = level(lvl)[idx]
             order = np.argsort(vals, kind="stable")
             sv = vals[order]
             cuts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])

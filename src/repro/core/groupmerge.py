@@ -12,13 +12,18 @@ scores match the global outcome.
 Saving and merging read each root's *side scan* (``GroupWorker._side``):
 its panel S̄_root, the p/n-edges inside it and its Case-2 edges, found in
 one pass over the panel's adjacency and bucketed by root C, scanned once
-per (root, role) with role A or B labels. Each scan also caches the effect
-of each bucket alone (:func:`repro.core.localenc.case2_effect`) and their
-sum per partner atom count. Saving(A, z) is the memoized Case-1 effect
+per (root, role) with role A or B labels. Many roots C give a side the
+same bucket, so each bucket also gets a *shape* id, a worker-wide number
+for its (atom count of C, bucket) pair, and the scan keeps the set of its
+roots C per shape. Per partner atom count the scan caches the effect of
+each shape alone (:func:`repro.core.localenc.case2_effect`) and the sum
+weighted by those sets' sizes. Saving(A, z) is the memoized Case-1 effect
 (:func:`repro.core.localenc.case1_effect`) plus both sides' sums, less each
-side's bucket for the other's root (those edges are Case 1), with every
-root C both sides touch re-scored on A's bucket followed by z's. A merge
-solves the same buckets to apply them and drops the scans of A, B and
+side's bucket for the other's root (those edges are Case 1), with the
+roots C both sides touch re-scored on A's bucket followed by z's: once per
+(A's shape, z's shape) pair whose root sets meet, times the size of their
+intersection. A merge
+solves the per-C buckets to apply them and drops the scans of A, B and
 every C it touched; no other scan can see the edges or trees it changes
 (DESIGN.md §3.1).
 
@@ -63,15 +68,21 @@ _C_TO_B = {L.C: L.B, L.C0: L.B0, L.C1: L.B1}
 class _Side:
     """One root's side scan in one role: its panel S̄_root (labels, real
     ids, atom count, singleton flags per atom), the p/n-edges inside it, its
-    Case-2 buckets and, per partner atom count, the one-sided Case-2
-    effects and their sum."""
+    Case-2 buckets, the shape id of each bucket and the set of roots C per
+    shape, the root's external (supernode, sign) pairs, and, per partner
+    atom count, the one-sided Case-2 effect of each shape and their sum
+    over the roots C."""
 
-    __slots__ = ("labels", "reals", "n", "flags", "inner", "buckets", "effects")
+    __slots__ = ("labels", "reals", "n", "flags", "inner", "buckets", "sids", "shapes",
+                 "ext", "effects")
 
     def __init__(self, labels: tuple[int, ...], reals: tuple[int, ...],
-                 flags: tuple[bool, ...], inner: tuple, buckets: dict[int, tuple]):
+                 flags: tuple[bool, ...], inner: tuple, buckets: dict[int, tuple],
+                 sids: dict[int, int], shapes: dict[int, set[int]],
+                 ext: frozenset[tuple[int, int]]):
         self.labels, self.reals, self.flags = labels, reals, flags
-        self.inner, self.buckets = inner, buckets
+        self.inner, self.buckets, self.sids, self.shapes = inner, buckets, sids, shapes
+        self.ext = ext
         self.n = len(flags)
         self.effects: dict[int, tuple[dict[int, tuple], tuple[int, int, int, int]]] = {}
 
@@ -149,6 +160,12 @@ class GroupWorker:
                 self.extnbr[a].add(b)
         self.merges: list[tuple[int, int, int]] = []  # (A, B, U)
         self._sides: dict[tuple[int, int], _Side] = {}  # (root, role) -> scan
+        # Case-2 bucket shapes (nc, bucket) by id, and the shared-C
+        # correction per (na, nb, A's shape id, z's shape id); both are
+        # functions of their keys, so they never go stale
+        self._shape_id: dict[tuple[int, tuple], int] = {}
+        self._shapes: list[tuple[int, tuple]] = []
+        self._pair_fx: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------------ util
 
@@ -238,38 +255,67 @@ class GroupWorker:
             labels, reals, flags = (base,), (root,), (self.size[root] == 1,)
         inner = []
         buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        roots, parent, children = self.roots, self.parent, self.children
         for i, (x, lx) in enumerate(zip(reals, labels)):
             for y, s in self.adj.get(x, {}).items():
                 if y in reals:
                     j = reals.index(y)
                     if j >= i:  # each inner edge once
                         inner.append((lx, labels[j], s))
-                    continue
-                r = self.treeof(y)
-                if y == r:
-                    buckets[r].append((lx, L.C, s))
-                elif self.parent.get(y) == r:
-                    buckets[r].append((lx, L.C0 if self.children[r][0] == y else L.C1, s))
-        return _Side(labels, reals, flags, tuple(inner),
-                     {c: tuple(es) for c, es in buckets.items()})
+                elif y in roots:  # y is C
+                    buckets[y].append((lx, L.C, s))
+                else:  # y is C0 or C1 when its parent is a root C
+                    r = parent.get(y)
+                    if r in roots:
+                        buckets[r].append((lx, L.C0 if children[r][0] == y else L.C1, s))
+        frozen: dict[int, tuple] = {}
+        sids: dict[int, int] = {}
+        shapes: dict[int, set[int]] = defaultdict(set)
+        shape_id, known = self._shape_id, self._shapes
+        for c, es in buckets.items():
+            shape = (2 if children.get(c) else 1, tuple(es))
+            sid = shape_id.get(shape)
+            if sid is None:
+                sid = shape_id[shape] = len(known)
+                known.append(shape)
+            frozen[c] = shape[1]
+            sids[c] = sid
+            shapes[sid].add(c)
+        return _Side(labels, reals, flags, tuple(inner), frozen, sids, shapes,
+                     frozenset(self.ext_adj.get(root, {}).items()))
 
     def _effects(self, side: _Side, role: int, n: int):
-        """({C: case2_effect of side's bucket alone}, their sum) with a
-        partner of ``n`` atoms, cached on the side: the score of a root C
-        only one side touches."""
+        """({shape id: case2_effect of that bucket alone}, the sum over the
+        side's roots C) with a partner of ``n`` atoms, cached on the side:
+        the score of a root C only one side touches."""
         got = side.effects.get(n)
         if got is None:
-            per_c = {}
+            per_s = {}
             d = da = db = du = 0
-            for c, removed in side.buckets.items():
-                nc = 2 if self.children.get(c) else 1
-                e = per_c[c] = (L.case2_effect(side.n, n, nc, removed) if role == 0
-                                else L.case2_effect(n, side.n, nc, removed))
-                d += e[0]
-                da += e[1]
-                db += e[2]
-                du += e[3]
-            got = side.effects[n] = (per_c, (d, da, db, du))
+            for sid, cs in side.shapes.items():
+                k = len(cs)
+                nc, removed = self._shapes[sid]
+                e = per_s[sid] = (L.case2_effect(side.n, n, nc, removed) if role == 0
+                                  else L.case2_effect(n, side.n, nc, removed))
+                d += k * e[0]
+                da += k * e[1]
+                db += k * e[2]
+                du += k * e[3]
+            got = side.effects[n] = (per_s, (d, da, db, du))
+        return got
+
+    def _pair_effect(self, na: int, nb: int, x: int, y: int, ea: dict, eb: dict):
+        """What re-scoring one root C on A's bucket of shape ``x`` followed
+        by z's of shape ``y`` adds to the two one-sided effects ``ea[x]``
+        and ``eb[y]``."""
+        key = (na, nb, x, y)
+        got = self._pair_fx.get(key)
+        if got is None:
+            nc, removed = self._shapes[x]
+            e = L.case2_effect(na, nb, nc, removed + self._shapes[y][1])
+            e1, e2 = ea[x], eb[y]
+            got = self._pair_fx[key] = (e[0] - e1[0] - e2[0], e[1] - e1[1] - e2[1],
+                                        e[2] - e1[2] - e2[2], e[3] - e1[3] - e2[3])
         return got
 
     def _shared_ext(self, a: int, b: int) -> list[tuple[int, int]]:
@@ -279,11 +325,6 @@ class GroupWorker:
         if len(eb) < len(ea):
             ea, eb = eb, ea
         return [(y, s) for y, s in ea.items() if eb.get(y) == s]
-
-    def _n_shared_ext(self, a: int, b: int) -> int:
-        """``len(self._shared_ext(a, b))``, without building the list."""
-        ea, eb = self.ext_adj.get(a), self.ext_adj.get(b)
-        return len(ea.items() & eb.items()) if ea and eb else 0
 
     # --------------------------------------------------------------- scoring
 
@@ -301,28 +342,29 @@ class GroupWorker:
         d, da, db, du = L.case1_effect(na, nb, sa.flags + sb.flags, _case1_removal(sa, sb, b))
         # Case 2: each side's one-sided total, less its bucket for the other
         # side's root (those edges are Case 1), with every root C both sides
-        # touch re-scored on the concatenated bucket
+        # touch re-scored on the concatenated bucket, once per shape pair
         ea, ta = self._effects(sa, 0, nb)
         eb, tb = self._effects(sb, 1, na)
         d += ta[0] + tb[0]
         da += ta[1] + tb[1]
         db += ta[2] + tb[2]
         du += ta[3] + tb[3]
-        for e in (ea.get(b), eb.get(a)):
+        for e in (ea.get(sa.sids.get(b)), eb.get(sb.sids.get(a))):
             if e is not None:
                 d -= e[0]
                 da -= e[1]
                 db -= e[2]
                 du -= e[3]
-        for c in sa.buckets.keys() & sb.buckets.keys():
-            e = L.case2_effect(na, nb, 2 if self.children.get(c) else 1,
-                               sa.buckets[c] + sb.buckets[c])
-            e1, e2 = ea[c], eb[c]
-            d += e[0] - e1[0] - e2[0]
-            da += e[1] - e1[1] - e2[1]
-            db += e[2] - e1[2] - e2[2]
-            du += e[3] - e1[3] - e2[3]
-        dext = self._n_shared_ext(a, b)
+        for x, cs in sa.shapes.items():
+            for y, cz in sb.shapes.items():
+                k = len(cs & cz)  # the roots C with A's shape x and z's shape y
+                if k:
+                    e = self._pair_effect(na, nb, x, y, ea, eb)
+                    d += k * e[0]
+                    da += k * e[1]
+                    db += k * e[2]
+                    du += k * e[3]
+        dext = len(sa.ext & sb.ext)  # len(self._shared_ext(a, b))
         # h-cost adjustment: nodes left edge-less by the rewrite get pruned
         adj = 0
         for root_node, delta in ((a, da), (b, db)):

@@ -15,7 +15,12 @@ a leaf). Removing the in-scope edges subtracts a signed *coverage*
 restores precisely that coverage. The solver finds a minimum-cardinality
 signed edge set over the panel's *slots* (unordered supernode pairs plus
 self-loops on supernodes with ≥2 subnodes) restoring ``c`` — via
-iterative-deepening DFS with suffix-coverage pruning.
+iterative-deepening DFS over the slots in descending coverage order. A
+node is cut when one atom pair's residual exceeds what the open slots or
+the edges left can still cover (lane bound), or when the total residual
+exceeds the edges left times the largest coverage count of an open slot
+(mass bound). Both cuts drop only subtrees without a solution, so the
+answer is the first one the plain DFS would find.
 
 Two process-global memo tables, both input-graph independent as in the
 paper ("the memoized results ... can even be used when summarizing
@@ -27,7 +32,9 @@ too.
 
 If no edge set at most as small is found within the depth/node budget,
 the caller keeps the old edges (always feasible), so the budget bounds
-only conciseness, never correctness.
+only conciseness, never correctness. ``NODE_BUDGET`` counts the nodes of
+the pruned search: a tighter cut can only let a search finish that the
+budget stopped before, never change an answer found within it.
 
 Panel node labels (ints, fixed):
 ``U=0, A=1, A0=2, A1=3, B=4, B0=5, B1=6, C=7, C0=8, C1=9``.
@@ -36,11 +43,12 @@ A leaf side uses only its root label (which is then its single atom).
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, gt, sub
 
 U, A, A0, A1, B, B0, B1, C, C0, C1 = range(10)
 
 MAX_DEPTH = 6  # deepest replacement edge set searched for
-NODE_BUDGET = 300_000  # DFS node cap per (structure, target) before giving up
+NODE_BUDGET = 300_000  # pruned-DFS node cap per (structure, target) before giving up
 
 _memo: dict[tuple, tuple | None] = {}
 _effects: dict[tuple, tuple[int, int, int, int]] = {}
@@ -162,34 +170,43 @@ class _Budget(Exception):
 def _search(slots: list[tuple[tuple[int, int], tuple[int, ...]]],
             target: tuple[int, ...], max_depth: int) -> list[tuple[tuple[int, int], int]] | None:
     """Min-cardinality signed slot assignment whose coverage sums to
-    ``target``; iterative deepening, or None if none exists within bounds."""
-    npairs = len(target)
+    ``target``; iterative deepening, or None if none exists within bounds.
+
+    A node (slot ``idx``, ``remaining`` edges left) is cut when no
+    completion can exist: some lane's residual exceeds ``remaining`` or the
+    coverage still available in that lane (lane bound), or the residual
+    mass ``sum|residual|`` exceeds ``remaining`` times slot ``idx``'s
+    coverage count, the largest among the open slots since they are sorted
+    by descending count (mass bound). Both cuts skip only subtrees without
+    a solution, so the first solution found is the one the unpruned DFS
+    finds; ``NODE_BUDGET`` counts the nodes of this pruned search."""
     # big coverage first: finds dense encodings (the hierarchy wins) early
     slots = sorted(slots, key=lambda s: -sum(s[1]))
     nslots = len(slots)
-    suffix = [[0] * npairs for _ in range(nslots + 1)]
-    for i in range(nslots - 1, -1, -1):
-        for p in range(npairs):
-            suffix[i][p] = suffix[i + 1][p] + slots[i][1][p]
-    state = {"nodes": 0}
+    covs = [cov for _, cov in slots]
+    counts = [sum(cov) for cov in covs]
+    suffix = [(0,) * len(target)]
+    for cov in reversed(covs):
+        suffix.append(tuple(map(add, suffix[-1], cov)))
+    suffix.reverse()
+    nodes = 0
 
     def dfs(idx: int, residual: tuple[int, ...], remaining: int, chosen: list):
-        state["nodes"] += 1
-        if state["nodes"] > NODE_BUDGET:
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
             raise _Budget
-        if not any(residual):
+        mag = tuple(map(abs, residual))
+        mass = sum(mag)
+        if not mass:
             return list(chosen)
-        if remaining == 0 or idx == nslots:
+        if (remaining == 0 or idx == nslots or mass > remaining * counts[idx]
+                or max(mag) > remaining or any(map(gt, mag, suffix[idx]))):
             return None
-        suf = suffix[idx]
-        for p in range(npairs):
-            if abs(residual[p]) > (remaining if remaining < suf[p] else suf[p]):
-                return None
-        cov = slots[idx][1]
-        for sign in (1, -1):
-            newres = tuple(residual[p] - sign * cov[p] for p in range(npairs))
+        cov = covs[idx]
+        for sign, op in ((1, sub), (-1, add)):
             chosen.append((slots[idx][0], sign))
-            r = dfs(idx + 1, newres, remaining - 1, chosen)
+            r = dfs(idx + 1, tuple(map(op, residual, cov)), remaining - 1, chosen)
             chosen.pop()
             if r is not None:
                 return r

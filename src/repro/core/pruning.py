@@ -25,6 +25,7 @@ from collections import defaultdict
 import numpy as np
 import pandas as pd
 
+from ..graphs.ops import check_edges
 from ..model.summary import HierSummary, empty_hedges
 
 
@@ -247,12 +248,15 @@ def prune(
     cycles: int = 2,
     collect_stages: bool = False,
 ) -> HierSummary | list[HierSummary]:
-    """Run the full pruning pass (Steps 1-3, cycled).
+    """Run the full pruning pass (Steps 1-3, cycled). ``edges`` is the
+    graph ``summary`` encodes; a malformed edge list raises ValueError (see
+    :func:`repro.graphs.ops.check_edges`).
 
     With ``collect_stages`` returns [stage0, stage1, stage2, stage3]
     summaries — the states Table IV reports (stage i = after substep i of
     the first cycle; later cycles still run for the final stage3).
     """
+    check_edges(edges, summary.n_sub)
     st = _PruneState(summary.copy())
     stages = [st.to_summary()] if collect_stages else None
     for cycle in range(cycles):

@@ -52,14 +52,16 @@ class HierSummary:
     @staticmethod
     def identity(edges: pd.DataFrame, n_sub: int) -> "HierSummary":
         """The trivial summary: every subnode its own root, every subedge a
-        p-edge between singletons (Algorithm 1 lines 1–3)."""
+        p-edge between singletons (Algorithm 1 lines 1–3), written x < y
+        whatever the edge's orientation in ``edges``."""
         nodes = pd.DataFrame(
             {"nid": np.arange(n_sub, dtype=np.int64), "size": np.ones(n_sub, dtype=np.int64)}
         )
+        src, dst = (edges[c].to_numpy(dtype=np.int64) for c in ("src", "dst"))
         pe = pd.DataFrame(
             {
-                "x": edges["src"].to_numpy(dtype=np.int64),
-                "y": edges["dst"].to_numpy(dtype=np.int64),
+                "x": np.minimum(src, dst),
+                "y": np.maximum(src, dst),
                 "sign": np.ones(len(edges), dtype=np.int64),
             }
         )

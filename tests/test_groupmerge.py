@@ -340,6 +340,84 @@ def test_side_scans_never_stale(name):
     assert seq == len(group["roots"]) - 1
 
 
+def brute_saving(w, a, z):
+    """Saving(a, z) with every term rebuilt from ``w.edges``: the Case-1
+    edges and one Case-2 bucket per root C, each re-encoded on its own and
+    summed per C, as one pass over the merged panel would."""
+    if w.hb and max(w.height[a], w.height[z]) + 1 > w.hb:
+        return gm.NO_MERGE
+    den = w.eff_h(a) + w.eff_h(z) + w.inc[a] + w.inc[z] - w.pcnt(a, z)
+    if den <= 0:
+        return gm.NO_MERGE
+
+    def panel(root, labels):
+        kids = w.children.get(root, [])
+        return dict(zip([root, *kids], labels)), tuple(w.size[k] == 1 for k in kids or [root])
+
+    la, fa = panel(a, (L.A, L.A0, L.A1))
+    lz, fz = panel(z, (L.B, L.B0, L.B1))
+    label = {**la, **lz}
+    na, nb = len(fa), len(fz)
+    case1 = [(label[x], label[y], s) for (x, y), s in w.edges.items()
+             if x in label and y in label]
+    total = list(L.effect(L.solve_case1(na, nb, fa + fz, case1), case1))
+    for c in set(w.roots) - {a, z}:
+        lc, fc = panel(c, (L.C, L.C0, L.C1))
+        bucket = [(label[x], lc[y], s) for (p, q), s in w.edges.items()
+                  for x, y in ((p, q), (q, p)) if x in label and y in lc]
+        e = L.effect(L.solve_case2(na, nb, len(fc), bucket), bucket)
+        total = [t + v for t, v in zip(total, e)]
+    d, da, db, du = total
+    dext = sum(w.ext_adj.get(z, {}).get(y) == s for y, s in w.ext_adj.get(a, {}).items())
+    adj = 0
+    for root, delta in ((a, da), (z, db)):
+        if w.children.get(root):
+            after = w.ndeg[root] + delta - dext
+            adj += (w.ndeg[root] > 0 and after == 0) - (w.ndeg[root] == 0 and after > 0)
+    if du + dext == 0:
+        adj += 2
+    return 1.0 - (den + 2 - adj + d - dext) / den
+
+
+# DENSE: twelve singleton roots, about 70 % of the pairs joined by a
+# p-edge, so every root's Case-2 buckets share one shape ((A, C, +1),), the
+# shape of ppi_like's first round; after a merge, shapes such as
+# ((A0, C, +1), (A1, C, +1)) recur over many roots C, some touched by one
+# side only. REDUNDANT: root 10's leaves 0 and 1 both reach six leaf roots
+# C, edges a merge would lift to (10, C), so one bucket shape with a
+# non-zero effect recurs on one side only. MIXED: a seeded random group
+# with depth-2 roots beside leaves and two-leaf trees.
+DENSE = dict(roots=list(range(12)),
+             pedges=[(x, y, 1) for x, y in itertools.combinations(range(12), 2)
+                     if random.Random(x * 12 + y).random() < 0.7],
+             ext=[(r, 99, 1) for r in range(0, 12, 3)])
+REDUNDANT = dict(
+    roots=[10, 20, 4, 5, 6, 7, 8, 9, 11],
+    hedges=[(10, 0), (10, 1), (20, 2), (20, 3)],
+    pedges=[*((x, c, 1) for x in (0, 1) for c in range(4, 10)),
+            *((2, c, 1) for c in (4, 5, 6)), (20, 7, -1), (11, 7, 1), (11, 8, 1)],
+)
+SHAPE_GROUPS = {"dense": DENSE, "redundant": REDUNDANT, "mixed": random_group(11, n_roots=9)}
+
+
+@pytest.mark.parametrize("name", SHAPE_GROUPS)
+def test_shape_grouped_saving_matches_per_c_sum(name):
+    group = SHAPE_GROUPS[name]
+    w = make_worker(**group)
+    if name == "dense":
+        assert {sid for r in w.roots for sid in w._side(r, 0).sids.values()} == {0}
+    elif name == "redundant":
+        assert w._side(10, 0).shapes == {0: {4, 5, 6, 7, 8, 9}}
+    else:
+        assert max(w.height.values()) == 2
+    rng = random.Random(1)
+    for seq in range(4):  # before and after merges: deeper panels, shared Cs
+        for a, z in itertools.permutations(sorted(w.roots), 2):
+            assert w.saving(a, z) == brute_saving(w, a, z), (a, z)
+        a, b = rng.sample(sorted(w.roots), 2)
+        w.merge(a, b, gm.new_id(1, 0, seq))
+
+
 def bundle(roots, nodes=None, hedges=(), pedges=(), ext=(), radj=()):
     """A group bundle; ``nodes`` defaults to one singleton per root."""
     if nodes is None:

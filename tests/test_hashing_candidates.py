@@ -105,3 +105,70 @@ class TestCandidateSets:
             for b in range(a + 1, 60):
                 if sh[a] == sh[b]:
                     assert gids[a] == gids[b]
+
+
+def eager_assign_groups(edges, leaf_root, seed, t, max_size):
+    """``assign_groups`` computing every shingle level up front, kept as
+    the oracle for the lazy version."""
+    sh = [shingles_np(edges, leaf_root, seed + 7919 * lvl, t)
+          for lvl in range(candidates.MAX_LEVELS)]
+    roots = sh[0]["root"].to_numpy()
+    cols = np.stack([s.set_index("root").loc[roots, "shingle"].to_numpy() for s in sh], axis=1)
+    rng = np.random.default_rng((seed * 31 + t) & 0x7FFFFFFF)
+    gid = np.full(len(roots), -1, dtype=np.int64)
+    next_gid = 0
+    stack = [(np.arange(len(roots)), 0)]
+    while stack:
+        idx, lvl = stack.pop()
+        if (lvl == 0 or len(idx) > max_size) and lvl < candidates.MAX_LEVELS:
+            vals = cols[idx, lvl]
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            cuts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+            ends = np.r_[cuts[1:], len(sv)]
+            if lvl == 0 or len(cuts) > 1:
+                stack.extend((idx[order[s:e]], lvl + 1) for s, e in zip(cuts, ends))
+            else:
+                stack.append((idx, lvl + 1))
+            continue
+        if len(idx) > max_size:
+            perm = rng.permutation(idx)
+            for s in range(0, len(perm), max_size):
+                gid[perm[s:s + max_size]] = next_gid
+                next_gid += 1
+            continue
+        gid[idx] = next_gid
+        next_gid += 1
+    return pd.DataFrame({"root": roots.astype(np.int64), "gid": gid})
+
+
+class TestLazyLevels:
+    @pytest.mark.parametrize("max_size", [2, 3, 8, 500])
+    @pytest.mark.parametrize("make", [
+        lambda: gen.star(40), lambda: gen.clique(30), lambda: gen.er(120, 6.0, seed=4),
+        lambda: gen.caveman_cliques(90, clique_size=6, p_rewire=0.1, seed=2),
+    ], ids=["star", "clique", "er", "caveman"])
+    def test_equals_eager_levels(self, make, max_size):
+        e = make()
+        n = int(e[["src", "dst"]].max().max()) + 1
+        for lr in (np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64) // 3 * 3):
+            for seed, t in ((0, 1), (5, 7)):
+                pd.testing.assert_frame_equal(
+                    candidates.assign_groups(e, lr, seed=seed, t=t, max_size=max_size),
+                    eager_assign_groups(e, lr, seed, t, max_size))
+
+    def test_deeper_levels_only_for_oversized_groups(self, monkeypatch):
+        seeds = []
+
+        def counted(edges, leaf_root, seed, t):
+            seeds.append(seed)
+            return shingles_np(edges, leaf_root, seed, t)
+        monkeypatch.setattr(candidates, "shingles_np", counted)
+        e = gen.er(80, 5.0, seed=0)
+        lr = np.arange(80, dtype=np.int64)
+        candidates.assign_groups(e, lr, seed=3, t=1)
+        assert seeds == [3]  # no group above max_size: level 0 only
+        seeds.clear()
+        candidates.assign_groups(gen.clique(30), np.arange(30, dtype=np.int64),
+                                 seed=3, t=1, max_size=10)
+        assert seeds == [3 + 7919 * lvl for lvl in range(candidates.MAX_LEVELS)]

@@ -1,8 +1,15 @@
 """Unit tests for the memoized local panel-encoding solver."""
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import localenc as L
 from repro.core.localenc import U, A, A0, A1, B, B0, B1, C, C0, C1
+from repro.core.slugger import slugger
+from repro.graphs import datasets
+from repro.graphs.generators import n_nodes
 
 
 def apply_cover(panel, edges):
@@ -251,3 +258,104 @@ class TestCase2Effect:
             assert L.case2_effect(1, 1, 1, removed) == (0, 0, 0, 0)
         finally:
             L.clear_memo()  # drop the budget-limited answers
+
+
+def reference_search(slots, target, max_depth):
+    """The solver's IDDFS with the lane bound only: the search before the
+    mass bound, kept here as the oracle the pruned search must equal."""
+    npairs = len(target)
+    slots = sorted(slots, key=lambda s: -sum(s[1]))
+    nslots = len(slots)
+    suffix = [[0] * npairs for _ in range(nslots + 1)]
+    for i in range(nslots - 1, -1, -1):
+        for p in range(npairs):
+            suffix[i][p] = suffix[i + 1][p] + slots[i][1][p]
+    state = {"nodes": 0}
+
+    def dfs(idx, residual, remaining, chosen):
+        state["nodes"] += 1
+        if state["nodes"] > L.NODE_BUDGET:
+            raise L._Budget
+        if not any(residual):
+            return list(chosen)
+        if remaining == 0 or idx == nslots:
+            return None
+        suf = suffix[idx]
+        for p in range(npairs):
+            if abs(residual[p]) > (remaining if remaining < suf[p] else suf[p]):
+                return None
+        cov = slots[idx][1]
+        for sign in (1, -1):
+            newres = tuple(residual[p] - sign * cov[p] for p in range(npairs))
+            chosen.append((slots[idx][0], sign))
+            r = dfs(idx + 1, newres, remaining - 1, chosen)
+            chosen.pop()
+            if r is not None:
+                return r
+        return dfs(idx + 1, residual, remaining, chosen)
+
+    try:
+        for depth in range(0, max_depth + 1):
+            r = dfs(0, target, depth, [])
+            if r is not None:
+                return r
+    except L._Budget:
+        return None
+    return None
+
+
+def case1_flag_panels():
+    """Every Case-1 panel: atom counts 1 or 2 per side, every singleton-flag
+    combination."""
+    for na, nb in itertools.product((1, 2), repeat=2):
+        for flags in itertools.product((False, True), repeat=na + nb):
+            yield L.case1_panel(na, nb, flags)
+
+
+PANELS = [*case1_flag_panels(),
+          *(L.case2_panel(na, nb, nc) for na, nb, nc in itertools.product((1, 2), repeat=3))]
+
+
+class TestSearchEquivalence:
+    """The pruned search returns exactly the reference search's answer."""
+
+    def test_every_search_of_a_ppi_like_run(self, monkeypatch):
+        seen = []
+        search = L._search
+
+        def recording(slots, target, max_depth):
+            seen.append((slots, target, max_depth))
+            return search(slots, target, max_depth)
+
+        L.clear_memo()  # a memo hit would skip the search
+        monkeypatch.setattr(L, "_search", recording)
+        try:
+            edges = datasets.load("ppi_like", scale="test", seed=0)
+            slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
+        finally:
+            L.clear_memo()
+        assert len(seen) > 100
+        assert sum(len(sl) > 15 for sl, _, _ in seen) > 10  # large Case-2 panels too
+        for slots, target, depth in seen:
+            assert search(slots, target, depth) == reference_search(slots, target, depth)
+
+    @given(panel=st.sampled_from(PANELS), data=st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_targets_on_every_panel_shape(self, panel, data):
+        target = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=len(panel.pairs),
+                                          max_size=len(panel.pairs))))
+        got = L._search(panel.slots, target, 4)
+        assert got == reference_search(panel.slots, target, 4)
+
+    @given(panel=st.sampled_from(PANELS), data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_reachable_targets_on_every_panel_shape(self, panel, data):
+        # the coverage of up to five distinct signed slots: a solution exists
+        picks = data.draw(st.lists(st.tuples(st.sampled_from(panel.slots),
+                                             st.sampled_from((1, -1))),
+                                   max_size=5, unique_by=lambda pick: pick[0][0]))
+        target = tuple(sum(s * cov[p] for (_, cov), s in picks)
+                       for p in range(len(panel.pairs)))
+        got = L._search(panel.slots, target, L.MAX_DEPTH)
+        assert got == reference_search(panel.slots, target, L.MAX_DEPTH)
+        assert got is not None and len(got) <= len(picks)

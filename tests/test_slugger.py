@@ -79,6 +79,15 @@ class TestGolden:
         slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
         assert calls == {"saving": 2434, "merge": 58}
 
+    def test_ppi_like_t5_memo_entries(self):
+        # Saving and merge put the same questions to the solver: solver and
+        # effect table sizes recorded before Saving summed Case 2 per bucket
+        # shape and the search gained its mass bound
+        localenc.clear_memo()
+        edges = datasets.load("ppi_like", scale="test", seed=0)
+        slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
+        assert (len(localenc._memo), len(localenc._effects)) == (123, 124)
+
 
 class TestLossless:
     @pytest.mark.parametrize("name,make", GRAPHS, ids=[n for n, _ in GRAPHS])

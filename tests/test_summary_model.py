@@ -24,6 +24,12 @@ class TestIdentity:
         assert (s.pedges["sign"] == 1).all()
         s.validate()
 
+    def test_identity_of_reversed_edges_is_canonical(self):
+        e = pd.DataFrame({"src": [1, 2, 0], "dst": [0, 1, 3]})
+        s = HierSummary.identity(e, 4)
+        assert s.pedges[["x", "y"]].values.tolist() == [[0, 1], [1, 2], [0, 3]]
+        s.validate()
+
     def test_identity_roots_are_singletons(self):
         s = HierSummary.identity(gen.path(4), 4)
         assert sorted(s.roots()) == [0, 1, 2, 3]
