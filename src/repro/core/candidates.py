@@ -8,8 +8,9 @@ split randomly so no candidate set exceeds ``max_size`` (paper: 500).
 Per-iteration seeds vary the candidate sets across iterations.
 
 :func:`run_groups` then runs one function on every group, in-process or
-as one Spark ``mapInPandas`` job over pickled per-group bundles (no
-shuffle; an Arrow batch carries many groups). SLUGGER and SWEG share it.
+as one Spark ``mapInPandas`` job over pickled per-group bundles
+(:func:`map_bundles`: no shuffle; an Arrow batch carries many groups).
+SLUGGER and SWEG share it; the Spark decoder uses ``map_bundles`` too.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from .hashing import shingles_np
 
@@ -90,6 +91,21 @@ def check_engine(engine: str, spark: SparkSession | None) -> None:
         raise ValueError("engine='spark' needs a SparkSession")
 
 
+def map_bundles(
+    spark: SparkSession, bundles: list[Any], fn: Callable[[list[Any]], pd.DataFrame], schema: str
+) -> DataFrame:
+    """Lazy Spark frame of ``schema``: one row per bundle (pickled), and one
+    ``mapInPandas`` stage that yields ``fn(bundles of one Arrow batch)``.
+    No join and no shuffle; partition order is the order of ``bundles``."""
+
+    def apply(batches):
+        for pdf in batches:
+            yield fn([pickle.loads(b) for b in pdf["b"]])
+
+    rows = pd.DataFrame({"b": [pickle.dumps(x) for x in bundles]}, dtype=object)
+    return spark.createDataFrame(rows, schema="b binary").mapInPandas(apply, schema=schema)
+
+
 def run_groups(
     fn: Callable[..., Any],
     bundles: dict[int, Any],
@@ -97,26 +113,17 @@ def run_groups(
     spark: SparkSession | None = None,
 ) -> list[Any]:
     """``[fn(gid, bundle, *args) for gid in sorted(bundles)]``, in-process
-    when ``spark`` is None, else as one ``mapInPandas`` job over rows
-    ``(gid, pickled bundle)``. Results are in ascending gid order on both:
-    the rows go in sorted and ``mapInPandas`` keeps partition order."""
+    when ``spark`` is None, else as one ``map_bundles`` job. Results are in
+    ascending gid order on both: the rows go in sorted and ``mapInPandas``
+    keeps partition order."""
     gids = sorted(bundles)
     if spark is None:
         return [fn(g, bundles[g], *args) for g in gids]
     if not gids:
         return []
 
-    def apply(batches):
-        for pdf in batches:
-            out = [pickle.dumps(fn(g, pickle.loads(b), *args))
-                   for g, b in zip(pdf["gid"].tolist(), pdf["b"])]
-            yield pd.DataFrame({"gid": pdf["gid"], "b": out})
+    def apply(items):
+        return pd.DataFrame({"b": [pickle.dumps(fn(g, b, *args)) for g, b in items]})
 
-    rows = pd.DataFrame({"gid": np.array(gids, dtype=np.int64),
-                         "b": [pickle.dumps(bundles[g]) for g in gids]})
-    out = (
-        spark.createDataFrame(rows, schema="gid long, b binary")
-        .mapInPandas(apply, schema="gid long, b binary")
-        .toPandas()
-    )
+    out = map_bundles(spark, [(g, bundles[g]) for g in gids], apply, "b binary").toPandas()
     return [pickle.loads(b) for b in out["b"]]

@@ -113,11 +113,12 @@ class HierSummary:
         containing u (including the singleton {u} itself), sorted by sub
         and then from {u} up to its root.
 
-        The membership closure the Spark ``decode`` ships as one DataFrame.
-        Built on the driver with one vectorized step per tree level: the
-        h-edges are sorted by child once, and each step looks up the parents
-        of the current frontier with ``np.searchsorted``. Supernode ids reach
-        about 2**40 (``groupmerge.new_id``), so nothing is indexed by id.
+        The Spark ``decode`` reads each supernode's members and root from
+        it (``decode.tree_pair_rows``). Built on the driver with one
+        vectorized step per tree level: the h-edges are sorted by child
+        once, and each step looks up the parents of the current frontier
+        with ``np.searchsorted``. Supernode ids reach about 2**40
+        (``groupmerge.new_id``), so nothing is indexed by id.
         ``decode_pd`` uses ``leaf_members`` instead, which keeps the two
         decoders independent."""
         child = self.hedges["child"].to_numpy(dtype=np.int64)
@@ -142,7 +143,8 @@ class HierSummary:
 
     def validate(self) -> None:
         """Structural invariants: forest well-formedness, singleton leaves,
-        consistent sizes, canonical signed p/n-edges. Raises AssertionError."""
+        consistent sizes, canonical signed p/n-edges, none between a
+        supernode and its ancestor. Raises AssertionError."""
         nids = set(self.nodes["nid"].astype(int))
         assert len(nids) == len(self.nodes), "duplicate supernode ids"
         assert set(range(self.n_sub)) <= nids, "missing singleton supernodes"
@@ -179,6 +181,18 @@ class HierSummary:
             assert set(self.pedges["y"].astype(int)) <= nids
             dup = self.pedges.duplicated(subset=["x", "y", "sign"]).any()
             assert not dup, "duplicate p/n-edge"
+
+        # an edge covers pairs of its endpoints' members, so an edge between
+        # a supernode and its ancestor would cover self-pairs (u, u)
+        def ancestors(v: int):
+            while v in parent:
+                v = parent[v]
+                yield v
+
+        for x, y in zip(self.pedges["x"].astype(int), self.pedges["y"].astype(int)):
+            assert x == y or (x not in ancestors(y) and y not in ancestors(x)), (
+                f"p/n-edge ({x}, {y}) joins a supernode to its ancestor"
+            )
 
     def copy(self) -> "HierSummary":
         return HierSummary(

@@ -1,12 +1,12 @@
 """Decoder tests: pandas/Spark agreement, oracle cross-checks, and the
-net-coverage guard that catches encoding bugs."""
+net-coverage and self-pair guards that catch encoding bugs."""
 import pandas as pd
 import pytest
 from pyspark.errors import PySparkException
 
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
-from repro.model.decode import assert_lossless_pd, decode, decode_pd, membership_df
+from repro.model.decode import assert_lossless_pd, decode, decode_pd
 from repro.model.summary import HierSummary
 from repro.oracle import assert_equivalent
 
@@ -22,7 +22,7 @@ def hier_example() -> tuple[HierSummary, pd.DataFrame]:
         {"parent": [10, 10, 11, 11, 12, 12], "child": [0, 1, 2, 3, 10, 11]}
     )
     pedges = pd.DataFrame(
-        {"x": [12, 11, 12], "y": [12, 5, 5], "sign": [1, -1, 1]}
+        {"x": [12, 5, 5], "y": [12, 11, 12], "sign": [1, -1, 1]}
     )
     s = HierSummary(n_sub=6, nodes=nodes, hedges=hedges, pedges=pedges)
     # expected: clique on {0,1,2,3} (p-loop on 12) plus edges 0-5, 1-5
@@ -33,13 +33,60 @@ def hier_example() -> tuple[HierSummary, pd.DataFrame]:
     return s, want
 
 
+def summary(
+    n_sub: int, tree: dict[int, list[int]], edges: list[tuple[int, int, int]]
+) -> HierSummary:
+    """HierSummary from {parent: children} and (x, y, sign) edges."""
+    members = {u: [u] for u in range(n_sub)}
+
+    def leaves(v: int) -> list[int]:
+        if v not in members:
+            members[v] = sorted(u for c in tree[v] for u in leaves(c))
+        return members[v]
+
+    for v in tree:
+        leaves(v)
+    nodes = pd.DataFrame({"nid": list(members), "size": [len(m) for m in members.values()]})
+    hedges = pd.DataFrame({"parent": [p for p, cs in tree.items() for _ in cs],
+                           "child": [c for cs in tree.values() for c in cs]}, dtype="int64")
+    pedges = pd.DataFrame(edges, columns=["x", "y", "sign"], dtype="int64")
+    return HierSummary(n_sub=n_sub, nodes=nodes, hedges=hedges, pedges=pedges)
+
+
 def double_cover() -> HierSummary:
     """The pair (0, 1) is covered by p-edge (0, 1) and by the p-loop on its
     parent 10: net coverage 2."""
-    nodes = pd.DataFrame({"nid": [0, 1, 10], "size": [1, 1, 2]})
-    hedges = pd.DataFrame({"parent": [10, 10], "child": [0, 1]})
-    pedges = pd.DataFrame({"x": [0, 10], "y": [1, 10], "sign": [1, 1]})
-    return HierSummary(n_sub=2, nodes=nodes, hedges=hedges, pedges=pedges)
+    return summary(2, {10: [0, 1]}, [(0, 1, 1), (10, 10, 1)])
+
+
+def double_cover_across_trees() -> HierSummary:
+    """The pair (0, 5) is covered by p-edges (10, 5) and (0, 5), one level
+    apart, between the trees of 10 = {0, 1} and of 5: net coverage 2."""
+    return summary(6, {10: [0, 1]}, [(0, 5, 1), (5, 10, 1)])
+
+
+def edge_to_ancestor() -> HierSummary:
+    """{0, 1} under 10 with p-edges (0, 10) and (0, 2): (0, 10) covers the
+    self-pair (0, 0)."""
+    return summary(3, {10: [0, 1]}, [(0, 10, 1), (0, 2, 1)])
+
+
+HAND_BUILT = {
+    "hier_example": lambda: hier_example()[0],
+    # p-edge between the roots 12 and 13, masked by an n-edge (10, 3) one
+    # level below 12: {0, 1, 2} x {3, 4} without (0, 3) and (1, 3)
+    "masked_cross_tree": lambda: summary(
+        5, {10: [0, 1], 12: [10, 2], 13: [3, 4]}, [(12, 13, 1), (3, 10, -1)]),
+    # p-edge between two disjoint subtrees 10 and 11 of the tree of 12
+    "within_one_tree": lambda: summary(
+        5, {10: [0, 1], 11: [2, 3], 12: [10, 11]}, [(10, 11, 1), (4, 12, 1)]),
+    # three trees with p-loops, a masked loop pair and cross-tree edges
+    "forest_with_loops": lambda: summary(
+        9,
+        {10: [0, 1, 2], 11: [3, 4], 12: [11, 5], 13: [6, 7]},
+        [(10, 10, 1), (0, 1, -1), (12, 12, 1), (3, 4, -1), (13, 13, 1),
+         (10, 13, 1), (2, 6, -1), (5, 8, 1), (8, 8, 1)]),
+}
 
 
 class TestDecodePandas:
@@ -86,12 +133,12 @@ class TestDecodeSpark:
             e=e,
         )
 
-    def test_membership_closure_spark(self, spark):
-        s, _ = hier_example()
-        mem = membership_df(spark, s).toPandas()
-        got = set(zip(mem["sub"], mem["sup"]))
-        assert (0, 12) in got and (2, 11) in got and (5, 5) in got
-        assert all((u, u) in got for u in range(6))
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_matches_pandas_on_hand_built(self, spark, name):
+        s = HAND_BUILT[name]()
+        s.validate()
+        got = decode(spark, s).toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, decode_pd(s))
 
     def test_empty_pedges_decodes_empty(self, spark):
         s = HierSummary.identity(gen.path(3).iloc[0:0], 3)
@@ -105,12 +152,13 @@ class TestDecodeSpark:
         with pytest.raises(PySparkException, match="net coverage"):
             got.count()
 
-    def test_membership_df_equals_driver_closure(self, spark):
-        s, _ = hier_example()
-        mem = membership_df(spark, s).toPandas()
-        want = s.membership()
-        assert set(zip(mem["sub"], mem["sup"])) == set(zip(want["sub"], want["sup"]))
-        assert len(mem) == len(want)
+    def test_net_guard_across_trees(self, spark):
+        with pytest.raises(PySparkException, match="net coverage"):
+            decode(spark, double_cover_across_trees()).toPandas()
+
+    def test_self_pair_guard(self, spark):
+        with pytest.raises(PySparkException, match="self-pair"):
+            decode(spark, edge_to_ancestor()).toPandas()
 
     def test_job_count_does_not_grow_with_depth(self, spark):
         def chain(depth: int) -> HierSummary:
@@ -124,7 +172,7 @@ class TestDecodeSpark:
             return HierSummary(n_sub=2, nodes=nodes, hedges=hedges, pedges=pedges)
 
         sc = spark.sparkContext
-        jobs = []
+        tracker = sc.statusTracker()
         for depth in (1, 6):
             group = f"test_decode_depth_{depth}"
             sc.setJobGroup(group, group)
@@ -133,5 +181,7 @@ class TestDecodeSpark:
             finally:
                 sc.setLocalProperty("spark.jobGroup.id", None)
             assert list(zip(got["src"], got["dst"])) == [(0, 1)]
-            jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
-        assert jobs[0] == jobs[1] > 0
+            # one map-only job: a second stage would mean a shuffle
+            jobs = tracker.getJobIdsForGroup(group)
+            assert len(jobs) == 1
+            assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1

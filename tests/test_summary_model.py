@@ -170,6 +170,13 @@ class TestValidate:
         with pytest.raises(AssertionError, match="duplicate"):
             s.validate()
 
+    def test_detects_edge_to_ancestor(self):
+        # {0, 1} under 10: (0, 10) would cover the self-pair (0, 0)
+        s = tiny_summary()
+        s.pedges = pd.DataFrame({"x": [0, 0], "y": [10, 2], "sign": [1, 1]})
+        with pytest.raises(AssertionError, match="ancestor"):
+            s.validate()
+
     def test_copy_is_deep(self):
         s = tiny_summary()
         c = s.copy()
