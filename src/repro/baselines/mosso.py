@@ -25,7 +25,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..graphs.ops import check_edges
-from ..model.flat import FlatSummary
+from ..model.flat import FlatSummary, pair_cost as flat_pair_cost
 from .flat_encode import encode_flat
 
 
@@ -61,11 +61,7 @@ class _State:
 
     def pair_cost(self, a: int, b: int) -> int:
         e = self.cnt[a].get(b, 0)
-        if e == 0:
-            return 0
-        sa, sb = len(self.members[a]), len(self.members[b])
-        t = sa * (sa - 1) // 2 if a == b else sa * sb
-        return min(e, t - e + 1)
+        return flat_pair_cost(e, len(self.members[a]), len(self.members[b]), a == b) if e else 0
 
     def sup_cost(self, a: int) -> int:
         """Cost of all flat-encoding pairs involving supernode a."""

@@ -19,7 +19,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..graphs.ops import check_edges
-from ..model.flat import FlatSummary
+from ..model.flat import FlatSummary, merged_counts, supernode_cost
 from .flat_encode import encode_flat
 
 
@@ -27,36 +27,6 @@ from .flat_encode import encode_flat
 class RandomizedResult:
     flat: FlatSummary | None  # None = ran out of time
     elapsed_s: float
-
-
-def _merged_counts(
-    cnt: dict[int, dict[int, int]], u: int, v: int
-) -> dict[int, int]:
-    """Counts of U = u∪v. The symmetric store holds the (u, v) cross count
-    in both dicts, so the self-count is assembled explicitly
-    (E_UU = E_uu + E_vv + E_uv)."""
-    merged: dict[int, int] = defaultdict(int)
-    for x, e in cnt[u].items():
-        if x not in (u, v):
-            merged[x] += e
-    for x, e in cnt[v].items():
-        if x not in (u, v):
-            merged[x] += e
-    self_cnt = cnt[u].get(u, 0) + cnt[v].get(v, 0) + cnt[u].get(v, 0)
-    if self_cnt:
-        merged[u] = self_cnt
-    return merged
-
-
-def _cost(cnt: dict[int, int], sizes: dict[int, int], a: int) -> int:
-    sa = sizes[a]
-    total = 0
-    for x, e in cnt.items():
-        if e <= 0:
-            continue
-        t = sa * (sa - 1) // 2 if x == a else sa * sizes[x]
-        total += min(e, t - e + 1)
-    return total
 
 
 def randomized(
@@ -97,20 +67,13 @@ def randomized(
         cands.discard(u)
         if len(cands) > max_candidates:
             cands = set(rng.sample(sorted(cands), max_candidates))
-        cu = _cost(cnt[u], sizes, u)
+        cu = supernode_cost(cnt[u], sizes, u, sizes[u])
         best, best_s = None, 0.0
         for v in cands:
-            cv = _cost(cnt[v], sizes, v)
+            cv = supernode_cost(cnt[v], sizes, v, sizes[v])
             if cu + cv == 0:
                 continue
-            merged = _merged_counts(cnt, u, v)
-            su = sizes[u] + sizes[v]
-            cm = 0
-            for x, e in merged.items():
-                if e <= 0:
-                    continue
-                t = su * (su - 1) // 2 if x == u else su * sizes[x]
-                cm += min(e, t - e + 1)
+            cm = supernode_cost(merged_counts(cnt, u, v), sizes, u, sizes[u] + sizes[v])
             s = (cu + cv - cm) / (cu + cv)
             if s > best_s:
                 best, best_s = v, s
@@ -118,7 +81,7 @@ def randomized(
             unfinished.discard(u)
             continue
         v = best
-        merged = _merged_counts(cnt, u, v)
+        merged = merged_counts(cnt, u, v)
         cnt[u] = defaultdict(int, merged)
         for x in list(merged.keys()):
             if x != u:

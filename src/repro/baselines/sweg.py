@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +23,8 @@ from pyspark.sql import SparkSession
 
 from ..core import candidates
 from ..graphs.ops import check_edges
-from ..model.flat import FlatSummary
+from ..model.flat import FlatSummary, merged_counts, supernode_cost
 from .flat_encode import encode_flat
-
-
-def _flat_cost(cnt: dict[int, int], sizes: dict[int, int], a: int, sa: int) -> int:
-    """Σ_X min(E_AX, T_AX − E_AX + 1) over neighbors X of supernode a."""
-    total = 0
-    for x, e in cnt.items():
-        if e <= 0:
-            continue
-        t = sa * (sa - 1) // 2 if x == a else sa * sizes[x]
-        total += min(e, t - e + 1)
-    return total
 
 
 class _SwegGroup:
@@ -53,33 +41,16 @@ class _SwegGroup:
         self.merges: list[tuple[int, int]] = []  # (survivor a, absorbed b)
 
     def _saving(self, a: int, b: int) -> float:
-        ca = _flat_cost(self.cnt[a], self.sizes, a, self.sizes[a])
-        cb = _flat_cost(self.cnt[b], self.sizes, b, self.sizes[b])
+        ca = supernode_cost(self.cnt[a], self.sizes, a, self.sizes[a])
+        cb = supernode_cost(self.cnt[b], self.sizes, b, self.sizes[b])
         if ca + cb == 0:
             return -1e18
         su = self.sizes[a] + self.sizes[b]
-        cu = _flat_cost(self._merged_counts(a, b), self.sizes, a, su)
+        cu = supernode_cost(merged_counts(self.cnt, a, b), self.sizes, a, su)
         return 1.0 - cu / (ca + cb)
 
-    def _merged_counts(self, a: int, b: int) -> dict[int, int]:
-        """Counts of A∪B: symmetric stores hold the (a,b) cross count twice,
-        so the self-count is assembled explicitly (E_UU = E_AA + E_BB + E_AB)."""
-        merged: dict[int, int] = defaultdict(int)
-        for x, e in self.cnt[a].items():
-            if x not in (a, b):
-                merged[x] += e
-        for x, e in self.cnt[b].items():
-            if x not in (a, b):
-                merged[x] += e
-        self_cnt = (
-            self.cnt[a].get(a, 0) + self.cnt[b].get(b, 0) + self.cnt[a].get(b, 0)
-        )
-        if self_cnt:
-            merged[a] = self_cnt
-        return merged
-
     def _merge(self, a: int, b: int) -> None:
-        merged = self._merged_counts(a, b)
+        merged = merged_counts(self.cnt, a, b)
         self.cnt[a] = dict(merged)
         del self.cnt[b]
         # re-key member neighbors (cross-group neighbors are stale till

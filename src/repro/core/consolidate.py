@@ -13,26 +13,22 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from .forest import canon
+
 
 def consolidate(
     edges: list[tuple[int, int, int]],
+    parent: dict[int, int],
     children: dict[int, list[int]],
 ) -> list[tuple[int, int, int]]:
     """Lift cross-group edges up the hierarchy to a fixpoint.
 
     ``edges``: (x, y, sign) p/n-edges (x != y, trees of x and y differ).
-    ``children``: full child lists of every internal supernode.
+    ``parent``/``children``: the supernode forest (child -> parent, and
+    the full child list of every internal supernode), read only.
     Returns the consolidated edge list (canonical x <= y).
     """
-    parent: dict[int, int] = {}
-    for p, kids in children.items():
-        for c in kids:
-            parent[c] = p
-    eset: set[tuple[int, int, int]] = set()
-    for x, y, s in edges:
-        a, b = (x, y) if x <= y else (y, x)
-        eset.add((a, b, s))
-
+    eset = {(*canon(x, y), s) for x, y, s in edges}
     changed = True
     while changed:
         changed = False
@@ -44,26 +40,16 @@ def consolidate(
                     cand[(p, o, s)].add(e)
         for (p, o, s), present in sorted(cand.items()):
             kids = children[p]
-            if all(k in present for k in kids):
-                ok = True
-                for k in kids:
-                    a, b = (k, o) if k <= o else (o, k)
-                    if (a, b, s) not in eset:
-                        ok = False  # consumed by an earlier lift this pass
-                        break
-                if not ok:
-                    continue
-                for k in kids:
-                    a, b = (k, o) if k <= o else (o, k)
-                    eset.discard((a, b, s))
-                a, b = (p, o) if p <= o else (o, p)
-                if (a, b, s) in eset:
-                    # collision with a pre-existing edge would double cover;
-                    # undo (never occurs under exact coverage, keep safe)
-                    for k in kids:
-                        ka, kb = (k, o) if k <= o else (o, k)
-                        eset.add((ka, kb, s))
-                    continue
-                eset.add((a, b, s))
-                changed = True
+            if not all(k in present for k in kids):
+                continue
+            old = [(*canon(k, o), s) for k in kids]
+            lifted = (*canon(p, o), s)
+            # skip if an earlier lift of this pass consumed a child's edge,
+            # or if the lifted edge exists already: it would double cover
+            # (never occurs under exact coverage, kept safe)
+            if lifted in eset or not all(e in eset for e in old):
+                continue
+            eset.difference_update(old)
+            eset.add(lifted)
+            changed = True
     return sorted(eset)

@@ -41,6 +41,7 @@ import random
 from collections import defaultdict
 
 from . import localenc as L
+from .forest import Forest, SignedEdges, canon
 
 # one group's worker input: (roots, nodes(x, size, root), hedges(parent,
 # child), pedges(x, y, sign), ext(member, external, sign), radj(a, b))
@@ -55,10 +56,6 @@ def new_id(t: int, gid: int, seq: int) -> int:
     and iterations (gid < 2^24, seq < 2^10, t < 2^7)."""
     assert gid < (1 << 24) and seq < (1 << 10) and t < (1 << 7)
     return ID_BASE + (((t << 24) | gid) << 10) + seq
-
-
-def _canon(x: int, y: int) -> tuple[int, int]:
-    return (x, y) if x <= y else (y, x)
 
 
 _ROLE_LABELS = ((L.A, L.A0, L.A1), (L.B, L.B0, L.B1))
@@ -104,16 +101,10 @@ class GroupWorker:
         self.gid, self.t, self.theta, self.hb = gid, t, theta, hb
         self.rng = random.Random(seed)
         self.roots: set[int] = set(roots)
-        # --- tree structure ---
-        self.children: dict[int, list[int]] = defaultdict(list)
-        self.parent: dict[int, int] = {}
-        for p, c in hedges:
-            self.children[p].append(c)
-            self.parent[c] = p
-        self.size: dict[int, int] = {x: n for x, n, _ in nodes}
+        # the group's trees (n_sub unused: the worker never lists leaves)
+        self.forest = Forest(0, {x: n for x, n, _ in nodes}, hedges)
+        # each bundle node's root at the start of the round (see treeof)
         self.static_root: dict[int, int] = {x: r for x, _, r in nodes}
-        # DSU over root labels: label -> newer label after a merge
-        self.label_up: dict[int, int] = {}
         # per-root aggregates
         self.height: dict[int, int] = {}
         self.hcount: dict[int, int] = {}
@@ -124,11 +115,12 @@ class GroupWorker:
         # greedy systematically under-merge relative to the paper's results)
         self.ndeg: dict[int, int] = defaultdict(int)
         self.zero_internal: dict[int, int] = defaultdict(int)
+        children = self.forest.children
         for r in self.roots:  # iterative walks: pre-pruning trees can be deep
             height, hcount, internal, stack = 0, 0, 0, [(r, 0)]
             while stack:
                 v, d = stack.pop()
-                kids = self.children.get(v)
+                kids = children.get(v)
                 if kids:
                     hcount += len(kids)
                     internal += 1  # no edges seen yet
@@ -137,8 +129,7 @@ class GroupWorker:
                     height = max(height, d)
             self.height[r], self.hcount[r], self.zero_internal[r] = height, hcount, internal
         # --- p/n-edges (intra-group) ---
-        self.edges: dict[tuple[int, int], int] = {}
-        self.adj: dict[int, dict[int, int]] = defaultdict(dict)
+        self.edges = SignedEdges()
         self.pmap: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
         self.inc: dict[int, int] = defaultdict(int)
         for x, y, s in pedges:
@@ -170,13 +161,12 @@ class GroupWorker:
     # ------------------------------------------------------------------ util
 
     def treeof(self, node: int) -> int:
-        """Current root of the tree containing ``node`` (path-halving DSU)."""
+        """Current root of the tree containing ``node``: up ``parent`` from
+        its root at the start of the round, through this round's merges."""
         r = self.static_root.get(node, node)
-        while r in self.label_up:
-            up = self.label_up[r]
-            if up in self.label_up:  # path halving
-                self.label_up[r] = self.label_up[up]
-            r = self.label_up[r]
+        parent = self.forest.parent
+        while r in parent:
+            r = parent[r]
         return r
 
     # --------------------------------------------------------- edge plumbing
@@ -186,7 +176,7 @@ class GroupWorker:
         nodes between edge-less and not adjust the effective h-cost."""
         before = self.ndeg[x]
         self.ndeg[x] = before + d
-        if x in self.children and self.children[x]:
+        if self.forest.children.get(x):
             if before == 0 and d > 0:
                 self.zero_internal[self.treeof(x)] -= 1
             elif before + d == 0 and d < 0:
@@ -198,25 +188,18 @@ class GroupWorker:
         return self.hcount[r] - self.zero_internal.get(r, 0)
 
     def _add_edge(self, x: int, y: int, s: int) -> None:
-        key = _canon(x, y)
-        assert key not in self.edges, f"duplicate edge {key}"
-        self.edges[key] = s
-        self.adj[x][y] = s
-        self.adj[y][x] = s  # the same entry when x == y
+        self.edges.add(x, y, s)
         self._count_edge(x, y, 1)
 
     def _remove_edge(self, x: int, y: int) -> None:
-        del self.edges[_canon(x, y)]
-        del self.adj[x][y]
-        if x != y:
-            del self.adj[y][x]
+        self.edges.remove(x, y)
         self._count_edge(x, y, -1)
 
     def _count_edge(self, x: int, y: int, d: int) -> None:
         """Update the per-root and per-node counts for one edge added
         (``d`` = 1) or removed (``d`` = -1)."""
         rx, ry = self.treeof(x), self.treeof(y)
-        a, b = _canon(rx, ry)
+        a, b = canon(rx, ry)
         self.pmap[a][b] += d
         if a != b:
             self.pmap[b][a] += d
@@ -246,18 +229,19 @@ class GroupWorker:
         sign), ...) for every p/n-edge between S̄_root and S̄_C. Edges to
         deeper nodes of C's tree are out of scope."""
         base, c0, c1 = _ROLE_LABELS[role]
-        kids = self.children.get(root)
+        f = self.forest
+        roots, parent, children, size = self.roots, f.parent, f.children, f.size
+        kids = children.get(root)
         if kids:
             assert len(kids) == 2, f"non-binary supernode {root} during merging"
             labels, reals = (base, c0, c1), (root, kids[0], kids[1])
-            flags = (self.size[kids[0]] == 1, self.size[kids[1]] == 1)
+            flags = (size[kids[0]] == 1, size[kids[1]] == 1)
         else:
-            labels, reals, flags = (base,), (root,), (self.size[root] == 1,)
+            labels, reals, flags = (base,), (root,), (size[root] == 1,)
         inner = []
         buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        roots, parent, children = self.roots, self.parent, self.children
         for i, (x, lx) in enumerate(zip(reals, labels)):
-            for y, s in self.adj.get(x, {}).items():
+            for y, s in self.edges.incident(x).items():
                 if y in reals:
                     j = reals.index(y)
                     if j >= i:  # each inner edge once
@@ -368,7 +352,7 @@ class GroupWorker:
         # h-cost adjustment: nodes left edge-less by the rewrite get pruned
         adj = 0
         for root_node, delta in ((a, da), (b, db)):
-            if self.children.get(root_node):
+            if self.forest.children.get(root_node):
                 after = self.ndeg[root_node] + delta - dext
                 if self.ndeg[root_node] > 0 and after == 0:
                     adj += 1
@@ -383,6 +367,7 @@ class GroupWorker:
     def merge(self, a: int, b: int, u: int) -> None:
         """Merge roots a, b into new root u and re-encode locally."""
         # Case-1/Case-2 geometry is computed against the *pre-merge* trees.
+        f = self.forest
         sa, sb = self._side(a, 0), self._side(b, 1)
         na, nb = sa.n, sb.n
         removal = _case1_removal(sa, sb, b)
@@ -391,7 +376,7 @@ class GroupWorker:
         case2_plan = []
         for c_root in c_roots:
             removal2 = sa.buckets.get(c_root, ()) + sb.buckets.get(c_root, ())
-            sol2 = L.solve_case2(na, nb, 2 if self.children.get(c_root) else 1, removal2)
+            sol2 = L.solve_case2(na, nb, 2 if f.children.get(c_root) else 1, removal2)
             if sol2 is not None:
                 case2_plan.append((c_root, removal2, sol2))
         sol1 = L.solve_case1(na, nb, sa.flags + sb.flags, removal)
@@ -403,19 +388,14 @@ class GroupWorker:
             self._sides.pop((r, 0), None)
             self._sides.pop((r, 1), None)
 
-        # --- structural merge ---
-        self.children[u] = [a, b]
-        self.parent[a] = u
-        self.parent[b] = u
-        self.size[u] = self.size[a] + self.size[b]
-        self.static_root[u] = u
+        # --- structural merge: treeof(a) and treeof(b) now give u ---
+        f.merge(a, b, u)
         self.height[u] = max(self.height[a], self.height[b]) + 1
         self.hcount[u] = self.hcount[a] + self.hcount[b] + 2
         # U starts edge-less (non-leaf); later edge mutations flip it back
         self.zero_internal[u] = (
             self.zero_internal.pop(a, 0) + self.zero_internal.pop(b, 0) + 1
         )
-        # re-key per-root aggregates BEFORE relabeling the DSU
         self.inc[u] = self.inc[a] + self.inc[b] - self.pcnt(a, b)
         pu: dict[int, int] = defaultdict(int)
         for other, cnt in list(self.pmap[a].items()) + list(self.pmap[b].items()):
@@ -435,8 +415,6 @@ class GroupWorker:
             om[u] = om.pop(a, 0) + om.pop(b, 0)
             if om[u] == 0:
                 del om[u]
-        self.label_up[a] = u
-        self.label_up[b] = u
         self.roots.discard(a)
         self.roots.discard(b)
         self.roots.add(u)
@@ -459,7 +437,7 @@ class GroupWorker:
         # --- apply Case 2 per connected root ---
         for c_root, removal2, sol2 in case2_plan:
             label2real[L.C] = c_root
-            label2real[L.C0], label2real[L.C1] = self.children.get(c_root) or (None, None)
+            label2real[L.C0], label2real[L.C1] = f.children.get(c_root) or (None, None)
             for lx, ly, _ in removal2:
                 self._remove_edge(label2real[lx], label2real[ly])
             for lx, ly, s in sol2:
@@ -510,7 +488,7 @@ class GroupWorker:
 
     def output(self) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
         """(merges (A, B, U), intra-group p/n-edges (x, y, sign), x <= y)."""
-        return self.merges, [(x, y, s) for (x, y), s in self.edges.items()]
+        return self.merges, self.edges.triples()
 
 
 def run_group(gid: int, bundle: Bundle, t: int, big_t: int, seed: int,

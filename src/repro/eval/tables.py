@@ -62,7 +62,8 @@ def table3_iterations(
     engine: str = "local",
 ) -> pd.DataFrame:
     """Table III: SLUGGER's relative size as T grows (one run per T, as in
-    the paper — θ(T)=0 on the final iteration makes snapshots inequivalent)."""
+    the paper: θ(T)=0 on the final round, so the state of a longer run
+    after round T is not the T-round summary)."""
     names = names or DEFAULT_DATASETS
     rows = []
     for name in names:

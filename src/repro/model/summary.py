@@ -5,8 +5,9 @@ decoder, the metrics, and the partial-decompression routines. Supernodes
 are identified by int64 ids; the singleton supernode {u} has id == u
 (subnode ids are 0..n_sub-1), internal supernodes get larger ids.
 
-Tables (pandas; the Spark pipeline materializes to/from these between
-iterations, see DESIGN.md §3.2):
+Tables (pandas). SLUGGER edits a :class:`repro.core.forest.Forest` and
+edge list during its rounds and writes these tables once, after the last
+round; pruning reads them and writes them again (DESIGN.md §3.2):
 - ``nodes``:  (nid, size) — every supernode, including singletons.
 - ``hedges``: (parent, child) — the containment forest H.
 - ``pedges``: (x, y, sign) — P+ rows with sign=+1, P− rows with sign=−1;

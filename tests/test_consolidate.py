@@ -1,5 +1,10 @@
 """Cross-group consolidation tests (the distributed Case 2 lift)."""
-from repro.core.consolidate import consolidate
+from repro.core import consolidate as cons
+
+
+def consolidate(edges, children):
+    """The lift with the parent map derived from ``children``."""
+    return cons.consolidate(edges, {c: p for p, ks in children.items() for c in ks}, children)
 
 
 class TestLift:

@@ -59,7 +59,7 @@ class TestBookkeeping:
     def test_merge_updates_size_height_hcount(self):
         w = make_worker([0, 1], pedges=[(0, 1, 1)])
         w.merge(0, 1, U0)
-        assert w.size[U0] == 2 and w.height[U0] == 1 and w.hcount[U0] == 2
+        assert w.forest.size[U0] == 2 and w.height[U0] == 1 and w.hcount[U0] == 2
 
     def test_pmap_rekeyed_after_merge(self):
         w = make_worker([0, 1, 2], pedges=[(0, 2, 1), (1, 2, 1)])
@@ -239,7 +239,7 @@ class TestPinned:
             real2label = dict(zip(sa.reals + sb.reals, sa.labels + sb.labels))
             want: dict[int, Counter] = {}
             for c in set(group["roots"]) - {a, b}:
-                s_bar = [c] + w.children.get(c, [])
+                s_bar = [c] + w.forest.children.get(c, [])
                 found = Counter(
                     (real2label[x], c_labels[s_bar.index(y)], s)
                     for (p, q), s in w.edges.items()
@@ -351,8 +351,8 @@ def brute_saving(w, a, z):
         return gm.NO_MERGE
 
     def panel(root, labels):
-        kids = w.children.get(root, [])
-        return dict(zip([root, *kids], labels)), tuple(w.size[k] == 1 for k in kids or [root])
+        kids = w.forest.children.get(root, [])
+        return dict(zip([root, *kids], labels)), tuple(w.forest.size[k] == 1 for k in kids or [root])
 
     la, fa = panel(a, (L.A, L.A0, L.A1))
     lz, fz = panel(z, (L.B, L.B0, L.B1))
@@ -371,7 +371,7 @@ def brute_saving(w, a, z):
     dext = sum(w.ext_adj.get(z, {}).get(y) == s for y, s in w.ext_adj.get(a, {}).items())
     adj = 0
     for root, delta in ((a, da), (z, db)):
-        if w.children.get(root):
+        if w.forest.children.get(root):
             after = w.ndeg[root] + delta - dext
             adj += (w.ndeg[root] > 0 and after == 0) - (w.ndeg[root] == 0 and after > 0)
     if du + dext == 0:

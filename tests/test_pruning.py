@@ -4,12 +4,19 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.pruning import _PruneState, prune, step1, step2, step3
+from repro.core.forest import Forest, SignedEdges
+from repro.core.pruning import prune, step1, step2, step3
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
 from repro.model.cost import cost, metrics
 from repro.model.decode import assert_lossless_pd, decode_pd
 from repro.model.summary import HierSummary
+from tests.test_slugger import digest
+
+
+def state(s):
+    """The forest and edge store that the pruning steps edit."""
+    return Forest.from_summary(s), SignedEdges(zip(*(s.pedges[c].tolist() for c in ("x", "y", "sign"))))
 
 
 def summary_of(nodes, hedges, pedges, n_sub):
@@ -30,9 +37,9 @@ class TestStep1:
             [(12, 12, 1)],
             3,
         )
-        st = _PruneState(s)
-        assert step1(st) == 1
-        out = st.to_summary()
+        f, pe = state(s)
+        assert step1(f, pe) == 1
+        out = f.to_summary(pe.triples())
         assert 10 not in set(out.nodes["nid"])
         assert sorted(out.children_map()[12]) == [0, 1, 2]
         assert_lossless_pd(out, decode_pd(s))
@@ -44,9 +51,9 @@ class TestStep1:
             [(0, 1, 1)],
             2,
         )
-        st = _PruneState(s)
-        assert step1(st) == 1
-        out = st.to_summary()
+        f, pe = state(s)
+        assert step1(f, pe) == 1
+        out = f.to_summary(pe.triples())
         assert sorted(out.roots()) == [0, 1]
 
     def test_keeps_nodes_with_edges(self):
@@ -56,8 +63,8 @@ class TestStep1:
             [(10, 10, 1)],
             2,
         )
-        st = _PruneState(s)
-        assert step1(st) == 0
+        f, pe = state(s)
+        assert step1(f, pe) == 0
 
     def test_cascades_whole_chain(self):
         s = summary_of(
@@ -66,9 +73,9 @@ class TestStep1:
             [(0, 1, 1)],
             2,
         )
-        st = _PruneState(s)
-        assert step1(st) == 2
-        assert sorted(st.to_summary().roots()) == [0, 1]
+        f, pe = state(s)
+        assert step1(f, pe) == 2
+        assert sorted(f.to_summary(pe.triples()).roots()) == [0, 1]
 
 
 class TestStep2:
@@ -81,9 +88,9 @@ class TestStep2:
             3,
         )
         before = decode_pd(s)
-        st = _PruneState(s)
-        assert step2(st) == 1
-        out = st.to_summary()
+        f, pe = state(s)
+        assert step2(f, pe) == 1
+        out = f.to_summary(pe.triples())
         assert 10 not in set(out.nodes["nid"])
         assert len(out.pedges) == 2  # (0,2),(1,2)
         assert_lossless_pd(out, before)
@@ -97,9 +104,9 @@ class TestStep2:
             3,
         )
         before = decode_pd(s)
-        st = _PruneState(s)
-        assert step2(st) == 1
-        out = st.to_summary()
+        f, pe = state(s)
+        assert step2(f, pe) == 1
+        out = f.to_summary(pe.triples())
         assert len(out.pedges) == 1  # just (0,2,+)
         assert_lossless_pd(out, before)
 
@@ -110,8 +117,8 @@ class TestStep2:
             [(2, 10, 1), (3, 10, 1)],
             4,
         )
-        st = _PruneState(s)
-        assert step2(st) == 0
+        f, pe = state(s)
+        assert step2(f, pe) == 0
 
     def test_skips_loop_only_root(self):
         s = summary_of(
@@ -120,8 +127,8 @@ class TestStep2:
             [(10, 10, 1)],
             2,
         )
-        st = _PruneState(s)
-        assert step2(st) == 0
+        f, pe = state(s)
+        assert step2(f, pe) == 0
 
     def test_cost_strictly_decreases(self):
         s = summary_of(
@@ -131,9 +138,9 @@ class TestStep2:
             3,
         )
         before = cost(s)
-        st = _PruneState(s)
-        step2(st)
-        assert cost(st.to_summary()) < before
+        f, pe = state(s)
+        step2(f, pe)
+        assert cost(f.to_summary(pe.triples())) < before
 
 
 class TestStep3:
@@ -146,9 +153,9 @@ class TestStep3:
             4,
         )
         edges = decode_pd(s)  # only (0, 2)
-        st = _PruneState(s)
-        assert step3(st, edges) >= 1
-        out = st.to_summary()
+        f, pe = state(s)
+        assert step3(f, pe, edges) >= 1
+        out = f.to_summary(pe.triples())
         assert_lossless_pd(out, edges)
         assert cost(out) < cost(s)
 
@@ -161,8 +168,8 @@ class TestStep3:
             4,
         )
         edges = decode_pd(s)
-        st = _PruneState(s)
-        assert step3(st, edges) == 0
+        f, pe = state(s)
+        assert step3(f, pe, edges) == 0
 
     def test_self_pair_flattened(self):
         # supernode with one internal edge: p-loop + 5 n-edges is worse than
@@ -174,9 +181,9 @@ class TestStep3:
             4,
         )
         edges = decode_pd(s)  # just (0,1)
-        st = _PruneState(s)
-        assert step3(st, edges) >= 1
-        out = st.to_summary()
+        f, pe = state(s)
+        assert step3(f, pe, edges) >= 1
+        out = f.to_summary(pe.triples())
         assert_lossless_pd(out, edges)
         assert len(out.pedges) == 1
 
@@ -190,9 +197,9 @@ class TestStep3:
         )
         edges = decode_pd(s)
         assert len(edges) == 0
-        st = _PruneState(s)
-        assert step3(st, edges) >= 1
-        assert len(st.to_summary().pedges) == 0
+        f, pe = state(s)
+        assert step3(f, pe, edges) >= 1
+        assert len(f.to_summary(pe.triples()).pedges) == 0
 
 
 class TestFullPrune:
@@ -224,6 +231,15 @@ class TestFullPrune:
         res = slugger(edges, 48, T=4, seed=0, engine="local", do_prune=False)
         for s in prune(res.summary, edges, collect_stages=True):
             assert_lossless_pd(s, edges)
+
+    def test_input_summary_unchanged(self):
+        edges = gen.nested_partition(70, levels=2, branching=3, p_top=0.05, ratio=8, seed=0)
+        s = slugger(edges, 70, T=4, seed=0, engine="local", do_prune=False).summary
+        before, want = s.copy(), digest(s)
+        assert digest(prune(s, edges)) != want  # pruning changed something
+        assert digest(s) == want
+        for table in ("nodes", "hedges", "pedges"):
+            assert getattr(s, table).equals(getattr(before, table)), table
 
     def test_idempotent(self):
         edges = gen.nested_partition(60, levels=2, branching=3, p_top=0.05, ratio=8, seed=3)

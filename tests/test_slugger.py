@@ -186,13 +186,6 @@ class TestBehaviour:
         prn = slugger(edges, 70, T=5, seed=0, engine="local", do_prune=True)
         assert cost(prn.summary) <= cost(raw.summary)
 
-    def test_snapshots_collected_and_lossless(self):
-        edges = gen.nested_partition(60, levels=2, branching=3, p_top=0.05, ratio=8, seed=0)
-        res = slugger(edges, 60, T=4, seed=0, engine="local", snapshot_ts=(2, 4))
-        assert set(res.snapshots) == {2, 4}
-        for snap in res.snapshots.values():
-            assert_lossless_pd(snap, edges)
-
 
 class TestHeightBound:
     @pytest.mark.parametrize("hb", [1, 2, 5])
