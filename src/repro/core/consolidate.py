@@ -8,10 +8,19 @@ internal supernode carry the same-sign edge to the same other supernode
 parent), applied to a fixpoint so lifts can cascade up both sides of an
 edge. Workers estimate the one-level version of this when scoring
 Saving(A, B), so merge decisions anticipate this phase (DESIGN.md §3.2).
+
+Lifts are not confluent (an edge may lift on either side), so the phase
+runs in passes, each walking its candidate keys ``(parent, other, sign)``
+in sorted order. It is a worklist: a count per key of the children that
+hold the edge says when the key is *full* (can lift), and a pass walks
+only the full keys that the last pass touched or found blocked by an
+existing lifted edge. Any other full key was full and unblocked in the
+last pass with all its edges present, so it would have lifted then; the
+passes therefore lift exactly what rescanning every edge each pass would.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 
 from .forest import canon
 
@@ -29,27 +38,40 @@ def consolidate(
     Returns the consolidated edge list (canonical x <= y).
     """
     eset = {(*canon(x, y), s) for x, y, s in edges}
-    changed = True
-    while changed:
-        changed = False
-        cand: dict[tuple[int, int, int], set[int]] = defaultdict(set)
-        for x, y, s in eset:
-            for e, o in ((x, y), (y, x)):
-                p = parent.get(e)
-                if p is not None:
-                    cand[(p, o, s)].add(e)
-        for (p, o, s), present in sorted(cand.items()):
-            kids = children[p]
-            if not all(k in present for k in kids):
-                continue
-            old = [(*canon(k, o), s) for k in kids]
+    # count[(p, o, s)]: the children k of p with the edge (k, o, s); the
+    # key can lift when the count is len(children[p]) (it is *full*)
+    count = Counter((parent[e], o, s) for x, y, s in eset
+                    for e, o in ((x, y), (y, x)) if e in parent)
+
+    def bump(edge: tuple[int, int, int], d: int, touched: set) -> None:
+        x, y, s = edge
+        for e, o in ((x, y), (y, x)):
+            p = parent.get(e)
+            if p is not None:
+                count[(p, o, s)] += d
+                touched.add((p, o, s))
+
+    todo = set(count)
+    while todo:
+        full = sorted(k for k in todo if count[k] == len(children[k[0]]))
+        todo, blocked = set(), []
+        for p, o, s in full:
+            old = [(*canon(k, o), s) for k in children[p]]
             lifted = (*canon(p, o), s)
-            # skip if an earlier lift of this pass consumed a child's edge,
-            # or if the lifted edge exists already: it would double cover
-            # (never occurs under exact coverage, kept safe)
-            if lifted in eset or not all(e in eset for e in old):
+            # the lifted edge exists already: it would double cover (never
+            # occurs under exact coverage, kept safe); a later pass retries
+            # once an earlier key has consumed it
+            if lifted in eset:
+                blocked.append((p, o, s))
+                continue
+            # an earlier lift of this pass consumed a child's edge
+            if not all(e in eset for e in old):
                 continue
             eset.difference_update(old)
             eset.add(lifted)
-            changed = True
+            for e in old:
+                bump(e, -1, todo)
+            bump(lifted, 1, todo)
+        if todo:
+            todo.update(blocked)
     return sorted(eset)

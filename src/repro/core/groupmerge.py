@@ -23,9 +23,11 @@ side's bucket for the other's root (those edges are Case 1), with the
 roots C both sides touch re-scored on A's bucket followed by z's: once per
 (A's shape, z's shape) pair whose root sets meet, times the size of their
 intersection. A merge
-solves the per-C buckets to apply them and drops the scans of A, B and
-every C it touched; no other scan can see the edges or trees it changes
-(DESIGN.md §3.1).
+solves the per-C buckets to apply them, drops the scans of A and B, and
+patches the scans of every C it touched: their buckets for A and B give
+way to one for the new root, its entries in the order a fresh scan meets
+them, by (panel index, edge stamp). No other scan can see the edges or
+trees it changes (DESIGN.md §3.1).
 
 Groups are independent. Worker I/O is plain tuples: :func:`run_group`
 takes one group's bundle (see :data:`Bundle`) and returns the group's
@@ -37,6 +39,7 @@ pickled bundles (DESIGN.md §3.2).
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import defaultdict
 
@@ -65,21 +68,22 @@ _C_TO_B = {L.C: L.B, L.C0: L.B0, L.C1: L.B1}
 class _Side:
     """One root's side scan in one role: its panel S̄_root (labels, real
     ids, atom count, singleton flags per atom), the p/n-edges inside it, its
-    Case-2 buckets, the shape id of each bucket and the set of roots C per
-    shape, the root's external (supernode, sign) pairs, and, per partner
-    atom count, the one-sided Case-2 effect of each shape and their sum
-    over the roots C."""
+    Case-2 buckets, the (panel index, edge stamp) of each bucket's first
+    entry, the shape id of each bucket and the set of roots C per shape,
+    the root's external (supernode, sign) pairs, and, per partner atom
+    count, the one-sided Case-2 effect of each shape and their sum over the
+    roots C."""
 
-    __slots__ = ("labels", "reals", "n", "flags", "inner", "buckets", "sids", "shapes",
-                 "ext", "effects")
+    __slots__ = ("labels", "reals", "n", "flags", "inner", "buckets", "first", "sids",
+                 "shapes", "ext", "effects")
 
     def __init__(self, labels: tuple[int, ...], reals: tuple[int, ...],
                  flags: tuple[bool, ...], inner: tuple, buckets: dict[int, tuple],
-                 sids: dict[int, int], shapes: dict[int, set[int]],
-                 ext: frozenset[tuple[int, int]]):
+                 first: dict[int, tuple[int, int]], sids: dict[int, int],
+                 shapes: dict[int, set[int]], ext: frozenset[tuple[int, int]]):
         self.labels, self.reals, self.flags = labels, reals, flags
-        self.inner, self.buckets, self.sids, self.shapes = inner, buckets, sids, shapes
-        self.ext = ext
+        self.inner, self.buckets, self.first = inner, buckets, first
+        self.sids, self.shapes, self.ext = sids, shapes, ext
         self.n = len(flags)
         self.effects: dict[int, tuple[dict[int, tuple], tuple[int, int, int, int]]] = {}
 
@@ -130,6 +134,11 @@ class GroupWorker:
             self.height[r], self.hcount[r], self.zero_internal[r] = height, hcount, internal
         # --- p/n-edges (intra-group) ---
         self.edges = SignedEdges()
+        # every edge's place in the order of adds: adjacency lists only
+        # lose entries or gain them at the end, so (panel index, stamp)
+        # is the order a side scan meets its edges in
+        self._stamp: dict[tuple[int, int], int] = {}
+        self._clock = itertools.count()
         self.pmap: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
         self.inc: dict[int, int] = defaultdict(int)
         for x, y, s in pedges:
@@ -189,10 +198,12 @@ class GroupWorker:
 
     def _add_edge(self, x: int, y: int, s: int) -> None:
         self.edges.add(x, y, s)
+        self._stamp[canon(x, y)] = next(self._clock)
         self._count_edge(x, y, 1)
 
     def _remove_edge(self, x: int, y: int) -> None:
         self.edges.remove(x, y)
+        del self._stamp[canon(x, y)]
         self._count_edge(x, y, -1)
 
     def _count_edge(self, x: int, y: int, d: int) -> None:
@@ -239,34 +250,79 @@ class GroupWorker:
         else:
             labels, reals, flags = (base,), (root,), (size[root] == 1,)
         inner = []
-        buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        buckets: dict[int, list[tuple[int, int, int]]] = {}
+        first: dict[int, tuple[int, int]] = {}
         for i, (x, lx) in enumerate(zip(reals, labels)):
             for y, s in self.edges.incident(x).items():
                 if y in reals:
                     j = reals.index(y)
                     if j >= i:  # each inner edge once
                         inner.append((lx, labels[j], s))
-                elif y in roots:  # y is C
-                    buckets[y].append((lx, L.C, s))
+                    continue
+                if y in roots:  # y is C
+                    c, lc = y, L.C
                 else:  # y is C0 or C1 when its parent is a root C
-                    r = parent.get(y)
-                    if r in roots:
-                        buckets[r].append((lx, L.C0 if children[r][0] == y else L.C1, s))
+                    c = parent.get(y)
+                    if c not in roots:
+                        continue
+                    lc = L.C0 if children[c][0] == y else L.C1
+                es = buckets.get(c)
+                if es is None:
+                    es = buckets[c] = []
+                    first[c] = (i, self._stamp[canon(x, y)])
+                es.append((lx, lc, s))
         frozen: dict[int, tuple] = {}
         sids: dict[int, int] = {}
         shapes: dict[int, set[int]] = defaultdict(set)
-        shape_id, known = self._shape_id, self._shapes
         for c, es in buckets.items():
-            shape = (2 if children.get(c) else 1, tuple(es))
-            sid = shape_id.get(shape)
-            if sid is None:
-                sid = shape_id[shape] = len(known)
-                known.append(shape)
-            frozen[c] = shape[1]
-            sids[c] = sid
+            frozen[c] = es = tuple(es)
+            sids[c] = sid = self._intern(2 if children.get(c) else 1, es)
             shapes[sid].add(c)
-        return _Side(labels, reals, flags, tuple(inner), frozen, sids, shapes,
+        return _Side(labels, reals, flags, tuple(inner), frozen, first, sids, shapes,
                      frozenset(self.ext_adj.get(root, {}).items()))
+
+    def _intern(self, nc: int, bucket: tuple) -> int:
+        """The worker-wide shape id of a Case-2 bucket against an S̄_C of
+        ``nc`` atoms."""
+        shape = (nc, bucket)
+        sid = self._shape_id.get(shape)
+        if sid is None:
+            sid = self._shape_id[shape] = len(self._shapes)
+            self._shapes.append(shape)
+        return sid
+
+    def _patch(self, side: _Side, a: int, b: int, u: int) -> None:
+        """Bring a cached scan of a root C up to what a fresh scan gives
+        after merge(a, b → u). The merge edited only C's edges to the
+        panels of ``a`` and ``b``, and made ``u`` a root with children
+        ``a`` and ``b``: so C's buckets for ``a`` and ``b`` go, and its
+        bucket for ``u`` holds C's edges to ``u`` (label C), ``a`` (C0)
+        and ``b`` (C1) in (panel index, stamp) order, the order a fresh
+        scan meets them in. Edges to deeper nodes of ``u``'s tree are out
+        of scope. The effects are dropped and recomputed on next use, as a
+        fresh scan's would be."""
+        for r in (a, b):
+            if side.buckets.pop(r, None) is not None:
+                del side.first[r]
+                sid = side.sids.pop(r)
+                cs = side.shapes[sid]
+                cs.discard(r)
+                if not cs:
+                    del side.shapes[sid]
+        found = []
+        for i, x in enumerate(side.reals):
+            nbrs = self.edges.incident(x)
+            for y, lc in ((u, L.C), (a, L.C0), (b, L.C1)):
+                s = nbrs.get(y)
+                if s is not None:
+                    found.append(((i, self._stamp[canon(x, y)]), (side.labels[i], lc, s)))
+        if found:
+            found.sort()
+            side.buckets[u] = bucket = tuple(e for _, e in found)
+            side.first[u] = found[0][0]
+            side.sids[u] = sid = self._intern(2, bucket)
+            side.shapes[sid].add(u)
+        side.effects.clear()
 
     def _effects(self, side: _Side, role: int, n: int):
         """({shape id: case2_effect of that bucket alone}, the sum over the
@@ -371,8 +427,10 @@ class GroupWorker:
         sa, sb = self._side(a, 0), self._side(b, 1)
         na, nb = sa.n, sb.n
         removal = _case1_removal(sa, sb, b)
-        c_roots = [c for c in sa.buckets if c != b]
-        c_roots += [c for c in sb.buckets if c != a and c not in sa.buckets]
+        # the roots C in a fresh scan's bucket order: A's first, then z's
+        c_roots = sorted((c for c in sa.buckets if c != b), key=sa.first.__getitem__)
+        c_roots += sorted((c for c in sb.buckets if c != a and c not in sa.buckets),
+                          key=sb.first.__getitem__)
         case2_plan = []
         for c_root in c_roots:
             removal2 = sa.buckets.get(c_root, ()) + sb.buckets.get(c_root, ())
@@ -381,12 +439,9 @@ class GroupWorker:
                 case2_plan.append((c_root, removal2, sol2))
         sol1 = L.solve_case1(na, nb, sa.flags + sb.flags, removal)
         shared = self._shared_ext(a, b)
-        # the merge edits edges only inside the panel and between it and the
-        # S̄_C above, and relabels only a's and b's trees: every other scan
-        # stays exact (DESIGN.md §3.1)
-        for r in (a, b, *c_roots):
-            self._sides.pop((r, 0), None)
-            self._sides.pop((r, 1), None)
+        for role in (0, 1):
+            self._sides.pop((a, role), None)
+            self._sides.pop((b, role), None)
 
         # --- structural merge: treeof(a) and treeof(b) now give u ---
         f.merge(a, b, u)
@@ -451,6 +506,15 @@ class GroupWorker:
             self._bump_ndeg(a, -1)
             self._bump_ndeg(b, -1)
             self._bump_ndeg(u, 1)
+        # the merge edited edges only inside the panel and between it and
+        # the S̄_C above, and relabelled only a's and b's trees: the scans
+        # of the roots C are patched, every other scan stays exact
+        # (DESIGN.md §3.1)
+        for c_root in c_roots:
+            for role in (0, 1):
+                side = self._sides.get((c_root, role))
+                if side is not None:
+                    self._patch(side, a, b, u)
         self.merges.append((a, b, u))
 
     # ------------------------------------------------------------- main loop

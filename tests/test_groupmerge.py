@@ -308,17 +308,68 @@ def random_group(seed, n_roots=7):
     return dict(roots=roots, hedges=hedges, pedges=pedges, ext=ext)
 
 
-STALE_GROUPS = {**PINNED_GROUPS, "random": random_group(3)}
+# ZERO_TARGET: merging leaves 1 and 2 re-encodes root 10's edges
+# (A, C, +1), (A, C0, -1) and (A, C1, -1), whose coverage cancels, so the
+# Case-2 solver drops them all and the new root gets no bucket in 10's scans
+ZERO_TARGET = dict(roots=[1, 2, 10], hedges=[(10, 3), (10, 4)],
+                   pedges=[(1, 2, 1), (1, 10, 1), (1, 3, -1), (1, 4, -1)])
+# budget_out runs with a solver node budget of 1: every re-encoding keeps
+# the old edges, so each patched bucket is built from edges to A and B
+STALE_GROUPS = {**PINNED_GROUPS, "random": random_group(3), "budget_out": random_group(3),
+                "zero_target": ZERO_TARGET}
+FIRST_MERGES = {"zero_target": [(1, 2)]}
+
+
+def assert_scan_is_fresh(w, root, role):
+    """The cached scan of (root, role) equals a fresh ``_scan``, field by
+    field; buckets in the order of their first entries."""
+    got, want = w._sides[(root, role)], w._scan(root, role)
+    assert (got.labels, got.reals, got.flags) == (want.labels, want.reals, want.flags)
+    assert got.inner == want.inner
+    assert sorted(got.buckets, key=got.first.__getitem__) == list(want.buckets)
+    assert got.first == want.first
+    assert got.buckets == want.buckets
+    assert got.sids == want.sids
+    assert {sid: w._shapes[sid] for sid in got.sids.values()} == {
+        sid: (2 if w.forest.children.get(c) else 1, want.buckets[c])
+        for c, sid in want.sids.items()}
+    assert got.shapes == want.shapes
+    assert got.ext == want.ext
 
 
 @pytest.mark.parametrize("name", STALE_GROUPS)
-def test_side_scans_never_stale(name):
-    """After every merge, Saving from the cached side scans equals Saving
-    with the caches emptied, and merging through them gives the edges a
-    worker that rescans before every merge gives."""
+def test_side_scans_never_stale(name, monkeypatch):
+    """After every merge, each cached side scan equals a fresh scan, Saving
+    from the cached scans equals Saving with the caches emptied, and
+    merging through them gives the edges a worker that rescans before
+    every merge gives."""
+    if name == "budget_out":
+        L.clear_memo()  # a memo hit would bypass the budget
+        monkeypatch.setattr(L, "NODE_BUDGET", 1)
+    try:
+        patched = check_scans_through_merges(name)
+        unsolved = None in L._memo.values()
+    finally:
+        if name == "budget_out":
+            L.clear_memo()  # drop the budget-limited answers
+    # (scans patched, of them with a bucket for the new root, of those
+    # built only from edges to the merged roots' panels)
+    assert patched[0] > 0
+    if name == "budget_out":
+        assert unsolved
+        assert patched[2] == patched[1] > 0
+    elif name == "zero_target":
+        assert patched[1] < patched[0]
+
+
+def check_scans_through_merges(name):
+    """Merge the group down to one root, checking the cached scans, edges
+    and scores after every merge; returns the patch counts."""
     group = STALE_GROUPS[name]
     w, ref = make_worker(**group), make_worker(**group)
     rng = random.Random(0)
+    first = list(FIRST_MERGES.get(name, ()))
+    patched = [0, 0, 0]
 
     def scores():
         return {(a, z): w.saving(a, z) for a, z in itertools.permutations(sorted(w.roots), 2)}
@@ -327,17 +378,31 @@ def test_side_scans_never_stale(name):
     for seq in itertools.count():
         if len(w.roots) < 2:
             break
-        a, b = rng.sample(sorted(w.roots), 2)
+        a, b = first.pop(0) if first else rng.sample(sorted(w.roots), 2)
         u = gm.new_id(1, 0, seq)
+        touched = [k for k, side in w._sides.items()
+                   if k[0] not in (a, b) and side.buckets.keys() & {a, b}]
         w.merge(a, b, u)
         ref._sides.clear()
         ref.merge(a, b, u)
-        assert sorted(w.edges.items()) == sorted(ref.edges.items()), (a, b)
+        # same edges, added in the same order: later scans list them in it
+        assert list(w.edges.items()) == list(ref.edges.items()), (a, b)
+        assert {x: list(d.items()) for x, d in w.edges.adj.items()} == {
+            x: list(d.items()) for x, d in ref.edges.adj.items()}, (a, b)
+        assert {r for r, _ in w._sides} <= w.roots - {u}
+        for root, role in w._sides:
+            assert_scan_is_fresh(w, root, role)
+        for k in touched:
+            bucket = w._sides[k].buckets.get(u)
+            patched[0] += 1
+            patched[1] += bucket is not None
+            patched[2] += bucket is not None and all(lc != L.C for _, lc, _ in bucket)
         cached = scores()
         kept, w._sides = w._sides, {}
         assert cached == scores(), (a, b)
         w._sides = kept  # the next merge reads the caches built before it
     assert seq == len(group["roots"]) - 1
+    return patched
 
 
 def brute_saving(w, a, z):

@@ -89,6 +89,23 @@ class TestGolden:
         assert (len(localenc._memo), len(localenc._effects)) == (123, 124)
 
 
+def test_ppi_like_t5_scans_each_side_once(monkeypatch):
+    # a merge patches the cached scans of the roots it touched, so no
+    # worker ever scans the same (root, role) twice
+    scans = Counter()
+    scan = groupmerge.GroupWorker._scan
+
+    def counted(self, root, role):
+        scans[(self.t, self.gid, root, role)] += 1
+        return scan(self, root, role)
+
+    monkeypatch.setattr(groupmerge.GroupWorker, "_scan", counted)
+    edges = datasets.load("ppi_like", scale="test", seed=0)
+    slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
+    assert len(scans) > 100
+    assert max(scans.values()) == 1
+
+
 class TestLossless:
     @pytest.mark.parametrize("name,make", GRAPHS, ids=[n for n, _ in GRAPHS])
     def test_lossless_pruned(self, name, make):
