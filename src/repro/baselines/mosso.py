@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary, pair_cost as flat_pair_cost
@@ -101,7 +100,6 @@ class _State:
 
 
 def mosso(
-    spark: SparkSession,
     edges: pd.DataFrame,
     n_sub: int,
     *,
@@ -140,5 +138,5 @@ def mosso(
     group = np.array(
         [st.sup_of[u] for u in range(n_sub)], dtype=np.int64
     )
-    flat = encode_flat(spark, edges, group)
+    flat = encode_flat(edges, group)
     return MossoResult(flat=flat, elapsed_s=time.perf_counter() - t0)

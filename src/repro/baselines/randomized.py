@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary, merged_counts, supernode_cost
@@ -30,7 +29,6 @@ class RandomizedResult:
 
 
 def randomized(
-    spark: SparkSession,
     edges: pd.DataFrame,
     n_sub: int,
     *,
@@ -94,5 +92,5 @@ def randomized(
         unfinished.discard(v)
         unfinished.add(u)
     group = np.array([find(u) for u in range(n_sub)], dtype=np.int64)
-    flat = encode_flat(spark, edges, group)
+    flat = encode_flat(edges, group)
     return RandomizedResult(flat=flat, elapsed_s=time.perf_counter() - t0)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..core.hashing import P31
 from ..graphs.ops import check_edges
@@ -28,7 +27,6 @@ class SagsResult:
 
 
 def sags(
-    spark: SparkSession,
     edges: pd.DataFrame,
     n_sub: int,
     *,
@@ -75,5 +73,5 @@ def sags(
                 if g.random() < p:
                     parent[v] = head
     group = np.array([find(u) for u in range(n_sub)], dtype=np.int64)
-    flat = encode_flat(spark, edges, group)
+    flat = encode_flat(edges, group)
     return SagsResult(flat=flat, elapsed_s=time.perf_counter() - t0)

@@ -125,20 +125,21 @@ class SwegResult:
 
 
 def sweg(
-    spark: SparkSession,
     edges: pd.DataFrame,
     n_sub: int,
     *,
     T: int = 20,
     seed: int = 0,
     engine: str = "local",
+    spark: SparkSession | None = None,
 ) -> SwegResult:
     """Run SWEG and return the optimally flat-encoded summary.
 
     ``T``: number of rounds; ``T=0`` is legal and flat-encodes the identity
     partition, a negative ``T`` raises ValueError.
     ``engine``: "local" (groups in-process) or "spark" (one mapInPandas
-    job per round); anything else raises ValueError, as does a malformed
+    job per round on ``spark``, as in :func:`repro.core.slugger.slugger`);
+    anything else raises ValueError, as does a malformed
     edge list (see :func:`repro.graphs.ops.check_edges`)."""
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
@@ -180,5 +181,5 @@ def sweg(
 
         final = {v: find(v) for v in size}
         group = np.array([final[g] for g in group.tolist()], dtype=np.int64)
-    flat = encode_flat(spark, edges, group)
+    flat = encode_flat(edges, group)
     return SwegResult(flat=flat, elapsed_s=time.perf_counter() - t0)

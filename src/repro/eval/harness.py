@@ -7,7 +7,6 @@ paper reports those as missing bars).
 """
 from __future__ import annotations
 
-import time
 from typing import Any
 
 import pandas as pd
@@ -44,30 +43,22 @@ def run_method(
 ) -> dict:
     """Run one summarizer; returns {method, relative_size, elapsed_s, ...}."""
     m_edges = len(edges)
-    t0 = time.perf_counter()
     if method == "slugger":
         res = slugger(edges, n_sub, T=T, seed=seed, engine=engine, spark=spark, **kw)
         met = metrics(res.summary, m_edges)
-        elapsed = res.elapsed_s
-    elif method == "sweg":
-        res = sweg(spark, edges, n_sub, T=T, seed=seed, engine=engine)
-        met = res.flat.metrics(m_edges)
-        elapsed = res.elapsed_s
-    elif method == "sags":
-        res = sags(spark, edges, n_sub, seed=seed)
-        met = res.flat.metrics(m_edges)
-        elapsed = res.elapsed_s
-    elif method == "randomized":
-        res = randomized(spark, edges, n_sub, seed=seed, time_limit_s=time_limit_s)
-        met = res.flat.metrics(m_edges) if res.flat is not None else None
-        elapsed = res.elapsed_s
-    elif method == "mosso":
-        res = mosso(spark, edges, n_sub, seed=seed, time_limit_s=time_limit_s)
-        met = res.flat.metrics(m_edges) if res.flat is not None else None
-        elapsed = res.elapsed_s
     else:
-        raise ValueError(f"unknown method {method}")
-    _ = time.perf_counter() - t0
+        if method == "sweg":
+            res = sweg(edges, n_sub, T=T, seed=seed, engine=engine, spark=spark)
+        elif method == "sags":
+            res = sags(edges, n_sub, seed=seed)
+        elif method == "randomized":
+            res = randomized(edges, n_sub, seed=seed, time_limit_s=time_limit_s)
+        elif method == "mosso":
+            res = mosso(edges, n_sub, seed=seed, time_limit_s=time_limit_s)
+        else:
+            raise ValueError(f"unknown method {method}")
+        met = res.flat.metrics(m_edges) if res.flat is not None else None
+    elapsed = res.elapsed_s
     if met is None:
         return {"method": method, "relative_size": None, "elapsed_s": elapsed}
     return {

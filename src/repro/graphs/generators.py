@@ -8,16 +8,13 @@ hub-dominated internet graphs, power-law social graphs, and ER noise.
 
 All generators return a **pandas** DataFrame with int64 columns
 ``src < dst`` (canonical simple undirected edges, no self-loops, no
-duplicates) plus the node count; `to_spark` lifts one to a Spark
-DataFrame. Everything is deterministic in ``seed``.
+duplicates) plus the node count. Everything is deterministic in
+``seed``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-EDGE_SCHEMA = "src long, dst long"
 
 
 def _canon(src: np.ndarray, dst: np.ndarray, n: int) -> pd.DataFrame:
@@ -31,11 +28,6 @@ def _canon(src: np.ndarray, dst: np.ndarray, n: int) -> pd.DataFrame:
     return pd.DataFrame(
         {"src": (key // n).astype(np.int64), "dst": (key % n).astype(np.int64)}
     )
-
-
-def to_spark(spark: SparkSession, edges: pd.DataFrame) -> DataFrame:
-    """Lift a canonical pandas edge list into a Spark DataFrame."""
-    return spark.createDataFrame(edges[["src", "dst"]], schema=EDGE_SCHEMA)
 
 
 def er(n: int, avg_deg: float, *, seed: int = 0) -> pd.DataFrame:

@@ -1,4 +1,4 @@
-"""Graph utilities over canonical edge DataFrames (Spark and pandas).
+"""Graph utilities over canonical pandas edge DataFrames.
 
 Edges are always simple undirected, stored once with ``src < dst``.
 """
@@ -6,20 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-
-
-def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both orientations of a canonical edge list: columns (u, v)."""
-    return edges.select(F.col("src").alias("u"), F.col("dst").alias("v")).unionByName(
-        edges.select(F.col("dst").alias("u"), F.col("src").alias("v"))
-    )
-
-
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-node degree: columns (u, deg)."""
-    return symmetrize(edges).groupBy("u").agg(F.count("*").alias("deg"))
 
 
 def canonicalize_pd(edges: pd.DataFrame) -> pd.DataFrame:
@@ -83,12 +69,3 @@ def adjacency_dict(edges: pd.DataFrame) -> dict[int, set[int]]:
         adj.setdefault(int(d), set()).add(int(s))
     return adj
 
-
-def to_pandas_edges(spark_edges: DataFrame) -> pd.DataFrame:
-    """Collect a Spark edge DataFrame into canonical pandas form."""
-    return canonicalize_pd(spark_edges.toPandas())
-
-
-def spark_edges(spark: SparkSession, edges: pd.DataFrame) -> DataFrame:
-    """Create the canonical Spark edge DataFrame from pandas edges."""
-    return spark.createDataFrame(edges[["src", "dst"]], schema="src long, dst long")

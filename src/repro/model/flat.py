@@ -23,8 +23,10 @@ def pair_cost(e: int, sa: int, sb: int, same: bool) -> int:
     ``sa`` and ``sb`` subnodes (``same``: within one supernode of ``sa``):
     ``min(e, t − e + 1)`` over the ``t`` subnode pairs, i.e. ``e`` positive
     corrections or one superedge with ``t − e`` negative ones. The cost
-    equals ``e`` exactly when the corrections win, ties included, as in
-    :func:`repro.baselines.flat_encode.encode_flat`."""
+    equals ``e`` exactly when the corrections win, ties included.
+    :func:`repro.baselines.flat_encode.encode_flat` decides each pair by
+    this rule, so its ``|P| + |C+| + |C−|`` is the sum of this cost over
+    the pairs."""
     if e <= 0:
         return 0
     t = sa * (sa - 1) // 2 if same else sa * sb

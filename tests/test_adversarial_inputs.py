@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.mosso import mosso
@@ -103,20 +103,11 @@ def test_hierarchical_summarizers(name, case):
 
 
 FLAT = {
-    "sweg": lambda spark, e, n: sweg(spark, e, n, T=2, seed=1, engine="local").flat,
-    "sags": lambda spark, e, n: sags(spark, e, n, seed=1).flat,
-    "randomized": lambda spark, e, n: randomized(spark, e, n, seed=1).flat,
-    "mosso": lambda spark, e, n: mosso(spark, e, n, seed=1).flat,
+    "sweg": lambda e, n: sweg(e, n, T=2, seed=1, engine="local").flat,
+    "sags": lambda e, n: sags(e, n, seed=1).flat,
+    "randomized": lambda e, n: randomized(e, n, seed=1).flat,
+    "mosso": lambda e, n: mosso(e, n, seed=1).flat,
 }
-
-
-@given(case=edge_lists(), name=st.sampled_from(sorted(FLAT)))
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_flat_summarizers_reject_malformed(name, case):
-    # a malformed list must raise before any Spark work, so no session here
-    edges, n_sub, malformed = case
-    if malformed:
-        check(edges, n_sub, malformed, lambda e, n: FLAT[name](None, e, n))
 
 
 def quirky_edges():
@@ -126,12 +117,12 @@ def quirky_edges():
     edges = pd.DataFrame({"src": [u for u, _ in pairs], "dst": [v for _, v in pairs]},
                          dtype=np.int32, index=np.random.default_rng(0).permutation(len(pairs)))
     edges["label"] = "x"
-    return edges, 9
+    return edges, 9, False
 
 
 @pytest.mark.parametrize("name", FLAT)
-def test_flat_summarizers_on_quirky_edges(spark, name):
-    # the flat encoding runs Spark jobs, so one valid input per summarizer
-    # carries every quirk at once
-    edges, n_sub = quirky_edges()
-    check(edges, n_sub, False, lambda e, n: decode_flat_pd(FLAT[name](spark, e, n)))
+@given(case=edge_lists())
+@example(case=quirky_edges())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_flat_summarizers_on_quirky_edges(name, case):
+    check(*case, lambda e, n: decode_flat_pd(FLAT[name](e, n)))

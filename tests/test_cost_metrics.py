@@ -34,13 +34,10 @@ class TestCost:
         m = metrics(s, len(want))
         assert abs(m.frac_p + m.frac_n + m.frac_h - 1.0) < 1e-12
 
-    def test_cost_matches_duckdb_count(self, spark):
+    def test_cost_matches_duckdb_count(self):
         s, _ = hier_example()
-        got = spark.createDataFrame(
-            pd.DataFrame({"c": [len(s.pedges) + len(s.hedges)]}), schema="c long"
-        )
         assert_equivalent(
-            got,
+            pd.DataFrame({"c": [len(s.pedges) + len(s.hedges)]}),
             "SELECT (SELECT count(*) FROM pe) + (SELECT count(*) FROM he) AS c",
             pe=s.pedges,
             he=s.hedges,

@@ -1,11 +1,13 @@
 """Flat (Navlakha) model + optimal flat encoder tests."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.baselines.flat_encode import encode_flat
 from repro.graphs import generators as gen
-from repro.model.flat import FlatSummary, decode_flat_pd
+from repro.graphs.ops import canonicalize_pd
+from repro.model.flat import FlatSummary, decode_flat_pd, pair_cost
 from repro.oracle import assert_equivalent
 
 
@@ -16,81 +18,100 @@ def _lossless(fs: FlatSummary, edges: pd.DataFrame):
 
 
 class TestEncodeFlat:
-    def test_trivial_partition_is_identity(self, spark):
+    def test_trivial_partition_is_identity(self):
         e = gen.er(40, 4.0, seed=0)
-        fs = encode_flat(spark, e, np.arange(40, dtype=np.int64))
+        fs = encode_flat(e, np.arange(40, dtype=np.int64))
         assert len(fs.p) == 0 and len(fs.cn) == 0 and len(fs.cp) == len(e)
         _lossless(fs, e)
 
-    def test_clique_collapses_to_self_loop(self, spark):
+    def test_clique_collapses_to_self_loop(self):
         e = gen.clique(8)
-        fs = encode_flat(spark, e, np.zeros(8, dtype=np.int64))
+        fs = encode_flat(e, np.zeros(8, dtype=np.int64))
         assert len(fs.p) == 1 and fs.p.iloc[0].tolist() == [0, 0]
         assert len(fs.cp) == 0 and len(fs.cn) == 0
         _lossless(fs, e)
 
-    def test_near_clique_uses_negative_corrections(self, spark):
+    def test_near_clique_uses_negative_corrections(self):
         e = gen.clique(8).iloc[2:].reset_index(drop=True)  # drop 2 edges
-        fs = encode_flat(spark, e, np.zeros(8, dtype=np.int64))
+        fs = encode_flat(e, np.zeros(8, dtype=np.int64))
         assert len(fs.p) == 1 and len(fs.cn) == 2 and len(fs.cp) == 0
         _lossless(fs, e)
 
-    def test_sparse_pair_uses_positive_corrections(self, spark):
+    def test_sparse_pair_uses_positive_corrections(self):
         # two groups joined by a single edge: corrections beat a superedge
         e = pd.DataFrame({"src": [0], "dst": [5]})
         group = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
-        fs = encode_flat(spark, e, group)
+        fs = encode_flat(e, group)
         assert len(fs.p) == 0 and len(fs.cp) == 1
         _lossless(fs, e)
 
-    def test_bipartite_superedge(self, spark):
+    def test_bipartite_superedge(self):
         # complete bipartite between two triples -> one superedge
         e = pd.DataFrame(
             {"src": [0, 0, 0, 1, 1, 1, 2, 2, 2], "dst": [3, 4, 5, 3, 4, 5, 3, 4, 5]}
         )
         group = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
-        fs = encode_flat(spark, e, group)
+        fs = encode_flat(e, group)
         assert len(fs.p) == 1 and len(fs.cp) == 0 and len(fs.cn) == 0
         _lossless(fs, e)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_partitions_lossless(self, spark, seed):
+    def test_random_partitions_lossless(self, seed):
         e = gen.nested_partition(40, levels=2, branching=2, p_top=0.08, ratio=5, seed=seed)
         g = np.random.default_rng(seed).integers(0, 8, 40).astype(np.int64)
-        _lossless(encode_flat(spark, e, g), e)
+        _lossless(encode_flat(e, g), e)
 
-    def test_pair_counts_match_duckdb(self, spark):
-        e = gen.er(30, 4.0, seed=5)
-        g = (np.arange(30) % 5).astype(np.int64)
+    def test_pair_counts_match_duckdb(self):
+        # DuckDB counts E_AB per group pair; P must be exactly the pairs
+        # whose pair_cost is below E_AB, i.e. where the superedge wins, and
+        # the encoding's size must be the sum of pair_cost over all pairs.
+        # Planted blocks of 6 with sparse ids, dense inside and between the
+        # first two, edges written in both orientations.
+        rng = np.random.default_rng(5)
+        u, v = np.triu_indices(30, 1)
+        bu, bv = u // 6, v // 6
+        keep = rng.random(len(u)) < np.where(
+            bu == bv, 0.9, np.where((bu == 0) & (bv == 1), 0.7, 0.1))
+        flip = rng.random(len(u)) < 0.5
+        e = pd.DataFrame({"src": np.where(flip, v, u)[keep], "dst": np.where(flip, u, v)[keep]})
+        g = (np.arange(30) // 6 * 7).astype(np.int64)
         gm = pd.DataFrame({"sub": np.arange(30), "g": g})
-        from repro.baselines.flat_encode import _pair_counts
-
-        _, _, _, counts, _ = _pair_counts(spark, e, g)
-        assert_equivalent(
-            counts,
-            "SELECT least(a.g, b.g) AS gx, greatest(a.g, b.g) AS gy, "
-            "count(*) AS e_ab FROM e JOIN gm a ON e.src = a.sub "
-            "JOIN gm b ON e.dst = b.sub GROUP BY 1, 2",
-            e=e,
-            gm=gm,
-        )
+        con = duckdb.connect()
+        try:
+            con.register("e", e)
+            con.register("gm", gm)
+            counts = con.execute(
+                "SELECT least(a.g, b.g) AS gx, greatest(a.g, b.g) AS gy, "
+                "count(*) AS e_ab FROM e JOIN gm a ON e.src = a.sub "
+                "JOIN gm b ON e.dst = b.sub GROUP BY 1, 2").fetchdf()
+        finally:
+            con.close()
+        size = np.bincount(g)
+        counts["cost"] = [pair_cost(n, size[x], size[y], x == y)
+                          for x, y, n in zip(counts["gx"], counts["gy"], counts["e_ab"])]
+        fs = encode_flat(e, g)
+        assert_equivalent(fs.p, "SELECT gx AS x, gy AS y FROM counts WHERE cost < e_ab",
+                          counts=counts)
+        assert len(fs.p) == 6 and len(fs.cp) and len(fs.cn)
+        assert len(fs.p) + len(fs.cp) + len(fs.cn) == counts["cost"].sum()
+        _lossless(fs, canonicalize_pd(e))
 
 
 class TestFlatMetrics:
-    def test_h_star_counts_nonsingleton_members(self, spark):
+    def test_h_star_counts_nonsingleton_members(self):
         e = gen.clique(6)
         group = np.array([0, 0, 0, 1, 2, 3], dtype=np.int64)
-        fs = encode_flat(spark, e, group)
+        fs = encode_flat(e, group)
         assert fs.h_star() == 3
 
-    def test_eq11_identity_is_m_over_m(self, spark):
+    def test_eq11_identity_is_m_over_m(self):
         e = gen.er(30, 4.0, seed=2)
-        fs = encode_flat(spark, e, np.arange(30, dtype=np.int64))
+        fs = encode_flat(e, np.arange(30, dtype=np.int64))
         assert abs(fs.cost_eq11(len(e)) - 1.0) < 1e-12
 
-    def test_unified_metrics_bundle(self, spark):
+    def test_unified_metrics_bundle(self):
         e = gen.clique(8)
-        fs = encode_flat(spark, e, np.zeros(8, dtype=np.int64))
+        fs = encode_flat(e, np.zeros(8, dtype=np.int64))
         m = fs.metrics(len(e))
         assert m.n_h == 8 and m.max_height == 1 and m.avg_leaf_depth == 1.0
         assert abs(m.relative_size - 9 / 28) < 1e-12

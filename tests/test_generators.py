@@ -1,15 +1,10 @@
-"""Generator substrate tests: canonical form, determinism, regime shape.
-
-Count checks are cross-validated with the DuckDB oracle where a Spark
-DataFrame is involved.
-"""
+"""Generator substrate tests: canonical form, determinism, regime shape."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.graphs import datasets
 from repro.graphs import generators as gen
-from repro.oracle import assert_equivalent
 
 
 def _assert_canonical(df: pd.DataFrame):
@@ -124,25 +119,3 @@ class TestDatasetRegistry:
         for name, spec in datasets.TEST.items():
             assert spec.paper_analogue
 
-
-class TestSparkRoundTrip:
-    def test_to_spark_and_oracle(self, spark):
-        edges = gen.nested_partition(60, levels=2, branching=3, p_top=0.05, ratio=6, seed=0)
-        sdf = gen.to_spark(spark, edges)
-        assert_equivalent(
-            sdf.selectExpr("count(*) as m").toPandas().pipe(lambda p: spark.createDataFrame(p)),
-            "SELECT count(*) AS m FROM e",
-            e=edges,
-        )
-
-    def test_degrees_match_duckdb(self, spark):
-        from repro.graphs.ops import degrees, spark_edges
-
-        edges = gen.er(50, 4.0, seed=7)
-        got = degrees(spark_edges(spark, edges))
-        assert_equivalent(
-            got,
-            "SELECT u, count(*) AS deg FROM "
-            "(SELECT src AS u FROM e UNION ALL SELECT dst AS u FROM e) GROUP BY u",
-            e=edges,
-        )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
-from repro.graphs.ops import adjacency_dict, spark_edges
+from repro.graphs.ops import adjacency_dict
 from repro.model.algorithms import (
     bfs,
     dijkstra_unit,
@@ -85,7 +85,8 @@ class TestAlgorithmsOnSummary:
     def test_pagerank_summary_vs_spark_raw(self, summarized, spark):
         edges, _, idx = summarized
         on_summary = pagerank_on_summary(idx, iters=10)
-        on_raw = pagerank_spark(spark, spark_edges(spark, edges), 60, iters=10)
+        raw = spark.createDataFrame(edges[["src", "dst"]], schema="src long, dst long")
+        on_raw = pagerank_spark(spark, raw, 60, iters=10)
         np.testing.assert_allclose(on_summary, on_raw, rtol=1e-8, atol=1e-12)
 
     def test_pagerank_sums_to_one(self, summarized):

@@ -4,7 +4,6 @@ import pandas as pd
 
 from repro.graphs import generators as gen
 from repro.graphs import ops
-from repro.oracle import assert_equivalent
 
 
 class TestCanonicalizePd:
@@ -61,26 +60,3 @@ class TestAdjacencyDict:
         adj = ops.adjacency_dict(e)
         assert sum(len(v) for v in adj.values()) == 2 * len(e)
 
-
-class TestSparkOps:
-    def test_symmetrize_doubles(self, spark):
-        e = gen.clique(6)
-        sym = ops.symmetrize(ops.spark_edges(spark, e))
-        assert sym.count() == 2 * len(e)
-
-    def test_roundtrip_to_pandas(self, spark):
-        e = gen.er(40, 4.0, seed=1)
-        back = ops.to_pandas_edges(ops.spark_edges(spark, e))
-        pd.testing.assert_frame_equal(
-            back.sort_values(["src", "dst"]).reset_index(drop=True),
-            e.sort_values(["src", "dst"]).reset_index(drop=True),
-        )
-
-    def test_degrees_oracle(self, spark):
-        e = gen.caveman_cliques(40, clique_size=5, seed=2)
-        assert_equivalent(
-            ops.degrees(ops.spark_edges(spark, e)),
-            "SELECT u, count(*) AS deg FROM "
-            "(SELECT src AS u FROM e UNION ALL SELECT dst AS u FROM e) GROUP BY u",
-            e=e,
-        )
