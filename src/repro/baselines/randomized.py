@@ -21,6 +21,8 @@ from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary, merged_counts, supernode_cost
 from .flat_encode import encode_flat
 
+MAX_CANDIDATES = 200  # 2-hop candidates scored per pick; more are sampled down
+
 
 @dataclass
 class RandomizedResult:
@@ -34,7 +36,6 @@ def randomized(
     *,
     seed: int = 0,
     time_limit_s: float = 600.0,
-    max_candidates: int = 200,
 ) -> RandomizedResult:
     check_edges(edges, n_sub)
     t0 = time.perf_counter()
@@ -63,8 +64,8 @@ def randomized(
         for x in hop1:
             cands.update(y for y in cnt[x] if y != x)
         cands.discard(u)
-        if len(cands) > max_candidates:
-            cands = set(rng.sample(sorted(cands), max_candidates))
+        if len(cands) > MAX_CANDIDATES:
+            cands = set(rng.sample(sorted(cands), MAX_CANDIDATES))
         cu = supernode_cost(cnt[u], sizes, u, sizes[u])
         best, best_s = None, 0.0
         for v in cands:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .forest import canon
+from ..model.summary import canon
 
 
 def consolidate(

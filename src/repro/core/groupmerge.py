@@ -43,8 +43,8 @@ import itertools
 import random
 from collections import defaultdict
 
+from ..model.summary import Forest, SignedEdges, canon
 from . import localenc as L
-from .forest import Forest, SignedEdges, canon
 
 # one group's worker input: (roots, nodes(x, size, root), hedges(parent,
 # child), pedges(x, y, sign), ext(member, external, sign), radj(a, b))
@@ -358,14 +358,6 @@ class GroupWorker:
                                         e[2] - e1[2] - e2[2], e[3] - e1[3] - e2[3])
         return got
 
-    def _shared_ext(self, a: int, b: int) -> list[tuple[int, int]]:
-        """Root-level external (Y, sign) present at both A and B — exactly
-        what the global consolidation phase will lift to (U, Y)."""
-        ea, eb = self.ext_adj.get(a, {}), self.ext_adj.get(b, {})
-        if len(eb) < len(ea):
-            ea, eb = eb, ea
-        return [(y, s) for y, s in ea.items() if eb.get(y) == s]
-
     # --------------------------------------------------------------- scoring
 
     def saving(self, a: int, b: int) -> float:
@@ -404,7 +396,7 @@ class GroupWorker:
                     da += k * e[1]
                     db += k * e[2]
                     du += k * e[3]
-        dext = len(sa.ext & sb.ext)  # len(self._shared_ext(a, b))
+        dext = len(sa.ext & sb.ext)  # the lifts merge makes (virtual lift)
         # h-cost adjustment: nodes left edge-less by the rewrite get pruned
         adj = 0
         for root_node, delta in ((a, da), (b, db)):
@@ -438,7 +430,9 @@ class GroupWorker:
             if sol2 is not None:
                 case2_plan.append((c_root, removal2, sol2))
         sol1 = L.solve_case1(na, nb, sa.flags + sb.flags, removal)
-        shared = self._shared_ext(a, b)
+        # root-level external (Y, sign) at both A and B: exactly what the
+        # global consolidation phase will lift to (U, Y)
+        shared = sorted(sa.ext & sb.ext)
         for role in (0, 1):
             self._sides.pop((a, role), None)
             self._sides.pop((b, role), None)

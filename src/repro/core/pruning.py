@@ -14,24 +14,24 @@ not contribute to concise encoding, with zero information loss.
 
 Step 3 can strand internal supernodes without edges, so the three steps
 are cycled (paper: "repeated a few times"; here ``CYCLES`` = 2). They
-edit a :class:`repro.core.forest.Forest` and a
-:class:`repro.core.forest.SignedEdges` read from the summary. Every
-rewrite preserves the exact coverage of the affected subnode pairs, so
-losslessness is maintained throughout; each substep's output can be
-snapshotted for Table IV via ``prune(..., collect_stages=True)``.
+edit a :class:`repro.model.summary.Forest` and a
+:class:`repro.model.summary.SignedEdges` read from the summary; Step 3
+groups the subedges and the p/n-edges by the pair of their endpoints'
+roots (``Forest.root_of``). Every rewrite preserves the exact coverage of
+the affected subnode pairs, so losslessness is maintained throughout;
+each substep's output can be snapshotted for Table IV via
+``prune(..., collect_stages=True)``.
 """
 from __future__ import annotations
 
 import functools
 from collections import defaultdict
 
-import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
 from ..model.flat import pair_cost
-from ..model.summary import HierSummary
-from .forest import Forest, SignedEdges, canon
+from ..model.summary import Forest, HierSummary, SignedEdges, canon
 
 CYCLES = 2  # passes over Steps 1-3; a pass that changes nothing ends early
 
@@ -82,18 +82,11 @@ def step2(f: Forest, pe: SignedEdges) -> int:
 def step3(f: Forest, pe: SignedEdges, edges: pd.DataFrame) -> int:
     """Swap in the optimal flat encoding per root pair where cheaper.
     Returns the number of root pairs rewritten."""
-    lr = f.leaf_root()
-    # subedges per root pair
-    src = edges["src"].to_numpy()
-    dst = edges["dst"].to_numpy()
-    ra = lr[src]
-    rb = lr[dst]
-    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    root_of = f.root_of()
+    # subedges and current p/n-edges per root pair
     sub_by_pair: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    for u, v, a_, b_ in zip(src, dst, lo, hi):
-        sub_by_pair[(int(a_), int(b_))].append((int(u), int(v)))
-    # current p/n-edges per root pair
-    root_of = {v: r for r in f.roots() for v in f.tree(r)}
+    for u, v in zip(edges["src"].tolist(), edges["dst"].tolist()):
+        sub_by_pair[canon(root_of[u], root_of[v])].append((u, v))
     pcnt: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
     for x, y in pe:
         pcnt[canon(root_of[x], root_of[y])].append((x, y))

@@ -12,7 +12,7 @@ The per-iteration dataflow (DESIGN.md §3.2):
    loops over the groups in gid order in-process; ``engine="spark"`` runs
    one ``mapInPandas`` job over the pickled bundles, with no shuffle); a
    group with a single root cannot merge and passes its edges through;
-4. the merges go into the driver's :class:`repro.core.forest.Forest`,
+4. the merges go into the driver's :class:`repro.model.summary.Forest`,
    cross-group edges are lifted by
    :func:`repro.core.consolidate.consolidate`, and the groups' edges plus
    the lifted ones become the next round's plain edge list.
@@ -31,10 +31,9 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..graphs.ops import check_edges
-from ..model.summary import HierSummary
+from ..model.summary import Forest, HierSummary
 from . import candidates, groupmerge
 from .consolidate import consolidate
-from .forest import Forest
 from .pruning import prune
 
 

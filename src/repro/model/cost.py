@@ -1,12 +1,12 @@
 """Cost and structure metrics of hierarchical summaries (Eqs. 1 & 10,
-plus the hierarchy statistics used by Tables IV and V)."""
+plus the hierarchy statistics used by Tables IV and V). Depths are read
+top-down from the summary's :class:`repro.model.summary.Forest`, so a
+tree of any depth is fine."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pandas as pd
-
-from .summary import HierSummary
+from .summary import Forest, HierSummary
 
 
 @dataclass(frozen=True)
@@ -32,18 +32,12 @@ def cost(summary: HierSummary) -> int:
 
 def depths(summary: HierSummary) -> dict[int, int]:
     """Depth of every supernode (roots at 0)."""
-    parent = summary.parent_map()
-    memo: dict[int, int] = {}
-
-    def d(v: int) -> int:
-        if v in memo:
-            return memo[v]
-        memo[v] = 0 if v not in parent else d(parent[v]) + 1
-        return memo[v]
-
-    for v in summary.nodes["nid"].astype(int):
-        d(v)
-    return memo
+    f = Forest.from_summary(summary)
+    dep: dict[int, int] = {}
+    for r in f.roots():
+        for v in f.tree(r):  # each parent before its children
+            dep[v] = dep[f.parent[v]] + 1 if v in f.parent else 0
+    return dep
 
 
 def metrics(summary: HierSummary, n_edges_in: int) -> HierMetrics:

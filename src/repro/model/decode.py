@@ -16,11 +16,14 @@ pair sit in that pair's row, and two rows never produce the same pair,
 so no join, no aggregation across rows and no shuffle is needed. The
 result is lazy; its {0, 1} check runs in the workers and fires when the
 caller runs an action. ``decode_pd`` is the pandas twin used by fast
-unit tests; it shares no code with ``decode``, so each cross-checks the
-other.
+unit tests. Both read the member lists of the summary's
+:class:`repro.model.summary.Forest` (``members()``) and expand and sum
+the edges in their own way; the tests and the benchmark check each
+against the input edge set.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import partial
 
 import numpy as np
@@ -28,7 +31,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.candidates import map_bundles
-from .summary import HierSummary
+from .summary import Forest, HierSummary, canon
 
 
 def tree_pair_rows(
@@ -36,39 +39,25 @@ def tree_pair_rows(
 ) -> list[tuple[list[tuple[int, int, int]], dict[int, list[int]]]]:
     """The p/n-edges grouped by the (min, max) pair of their endpoints'
     roots: one ``([(x, y, sign), ...], {endpoint: sorted subnodes})`` per
-    tree pair, built with numpy from ``HierSummary.membership`` (the last
-    closure row of a subnode names its root)."""
-    x, y, sign = (summary.pedges[c].to_numpy(dtype=np.int64) for c in ("x", "y", "sign"))
-    if not len(x):
-        return []
-    mem = summary.membership()
-    sub, sup = mem["sub"].to_numpy(), mem["sup"].to_numpy()
-    root = sup[np.r_[sub[1:] != sub[:-1], True]][sub]  # subnode ids are 0..n_sub-1
-    keep = np.isin(sup, np.r_[x, y])
-    order = np.argsort(sup[keep], kind="stable")  # subnodes stay ascending
-    sup, sub, root = sup[keep][order], sub[keep][order], root[keep][order]
-    first = np.flatnonzero(np.r_[True, sup[1:] != sup[:-1]])
-    ends, root = sup[first], root[first]
-    if not np.isin(np.r_[x, y], ends).all():
-        raise ValueError("a p/n-edge names a supernode that contains no subnode")
-    members = dict(zip(ends.tolist(), (m.tolist() for m in np.split(sub, first[1:]))))
-    rx, ry = root[np.searchsorted(ends, x)], root[np.searchsorted(ends, y)]
-    lo, hi = np.minimum(rx, ry), np.maximum(rx, ry)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    cuts = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
-    rows = []
-    for idx in np.split(order, cuts):
-        xs, ys = x[idx].tolist(), y[idx].tolist()
-        rows.append((list(zip(xs, ys, sign[idx].tolist())),
-                     {v: members[v] for v in set(xs) | set(ys)}))
-    return rows
+    tree pair, in tree-pair order, each row's edges in table order. Raises
+    ValueError if an edge names an unknown id or a supernode that contains
+    no subnode."""
+    f = Forest.from_summary(summary)
+    members, root = f.members(), f.root_of()
+    rows: dict[tuple[int, int], tuple[list, dict]] = defaultdict(lambda: ([], {}))
+    for x, y, s in zip(*(summary.pedges[c].tolist() for c in ("x", "y", "sign"))):
+        if not (members.get(x) and members.get(y)):
+            raise ValueError("a p/n-edge names a supernode that contains no subnode")
+        edges, mem = rows[canon(root[x], root[y])]
+        edges.append((x, y, s))
+        mem[x], mem[y] = members[x], members[y]
+    return [rows[k] for k in sorted(rows)]
 
 
-def _net_edges(rows, n: int, check: bool) -> pd.DataFrame:
+def _net_edges(rows, n: int) -> pd.DataFrame:
     """Pairs of net coverage 1 for a batch of ``tree_pair_rows`` rows, each
-    row summed on its own. Under ``check`` raises ValueError on a self-pair
-    (an edge between a supernode and its ancestor) or a net outside {0, 1}."""
+    row summed on its own. Raises ValueError on a self-pair (an edge
+    between a supernode and its ancestor) or a net outside {0, 1}."""
     out = [np.empty(0, np.int64)]
     for edges, members in rows:
         us, vs, ss = [], [], []
@@ -85,41 +74,36 @@ def _net_edges(rows, n: int, check: bool) -> pd.DataFrame:
             ss.append(np.full(len(u), s, dtype=np.int64))
         u, v = np.concatenate(us), np.concatenate(vs)
         src, dst = np.minimum(u, v), np.maximum(u, v)
-        if check and (src == dst).any():
+        if (src == dst).any():
             raise ValueError("self-pair: a p/n-edge joins a supernode to its ancestor")
         keys, inv = np.unique(src * n + dst, return_inverse=True)
         net = np.bincount(inv, weights=np.concatenate(ss), minlength=len(keys))
-        if check and ((net < 0) | (net > 1)).any():
+        if ((net < 0) | (net > 1)).any():
             raise ValueError("net coverage outside {0,1}")
         out.append(keys[net == 1])
     keys = np.concatenate(out)
     return pd.DataFrame({"src": keys // n, "dst": keys % n})
 
 
-def decode(spark: SparkSession, summary: HierSummary, *, check: bool = True) -> DataFrame:
+def decode(spark: SparkSession, summary: HierSummary) -> DataFrame:
     """Decode to the canonical edge DataFrame (src < dst): one map-only
     Spark stage over the ``tree_pair_rows`` rows.
 
-    The result is lazy; nothing runs until the caller's action. With
-    ``check``, that action raises a ``pyspark.errors.PySparkException``
-    whose message contains ``net coverage outside {0,1}`` if a subnode
-    pair's net coverage lies outside {0, 1}, or ``self-pair`` if an edge
-    joins a supernode to its ancestor."""
-    fn = partial(_net_edges, n=summary.n_sub, check=check)
+    The result is lazy; nothing runs until the caller's action. That action
+    raises a ``pyspark.errors.PySparkException`` whose message contains
+    ``net coverage outside {0,1}`` if a subnode pair's net coverage lies
+    outside {0, 1}, or ``self-pair`` if an edge joins a supernode to its
+    ancestor."""
+    fn = partial(_net_edges, n=summary.n_sub)
     return map_bundles(spark, tree_pair_rows(summary), fn, "src long, dst long")
 
 
-def decode_pd(summary: HierSummary, *, check: bool = True) -> pd.DataFrame:
-    """Pandas twin of ``decode`` for small graphs (unit tests, Alg-4 oracle)."""
-    members = summary.leaf_members()
-    from collections import Counter
-
+def decode_pd(summary: HierSummary) -> pd.DataFrame:
+    """Pandas twin of ``decode`` for small graphs (unit tests, Alg-4 oracle).
+    Raises AssertionError on a self-pair or a net outside {0, 1}."""
+    members = Forest.from_summary(summary).members()
     net: Counter[tuple[int, int]] = Counter()
-    for x, y, s in zip(
-        summary.pedges["x"].astype(int),
-        summary.pedges["y"].astype(int),
-        summary.pedges["sign"].astype(int),
-    ):
+    for x, y, s in zip(*(summary.pedges[c].tolist() for c in ("x", "y", "sign"))):
         if x == y:
             mem = members[x]
             for i in range(len(mem)):
@@ -131,9 +115,8 @@ def decode_pd(summary: HierSummary, *, check: bool = True) -> pd.DataFrame:
                     a, b = (u, v) if u < v else (v, u)
                     assert a != b, "ancestor/descendant p-edge produced a self-pair"
                     net[(a, b)] += s
-    if check:
-        bad = [k for k, c in net.items() if c not in (0, 1)]
-        assert not bad, f"net coverage outside {{0,1}} at pairs {bad[:5]}"
+    bad = [k for k, c in net.items() if c not in (0, 1)]
+    assert not bad, f"net coverage outside {{0,1}} at pairs {bad[:5]}"
     pairs = sorted(k for k, c in net.items() if c == 1)
     return pd.DataFrame(
         {

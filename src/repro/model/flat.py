@@ -77,15 +77,10 @@ class FlatSummary:
         sizes = self.group_sizes()
         return int(sizes[sizes >= 2].sum())
 
-    def cost_eq11(self, n_edges_in: int) -> float:
-        """Relative output size under Eq. (11)."""
-        return (len(self.p) + len(self.cp) + len(self.cn) + self.h_star()) / max(
-            1, n_edges_in
-        )
-
     def metrics(self, n_edges_in: int) -> HierMetrics:
         """Express the flat summary in the unified metric bundle: P -> P+,
-        C+ folds into P+, C− into P−, H* into H (Sect. II-B equivalence)."""
+        C+ folds into P+, C− into P−, H* into H (Sect. II-B equivalence);
+        ``relative_size`` is then Eq. (11)."""
         p_plus = len(self.p) + len(self.cp)
         p_minus = len(self.cn)
         n_h = self.h_star()

@@ -2,9 +2,11 @@
 decoding the whole model.
 
 ``NeighborIndex`` precomputes the per-supernode structures Algorithm 4
-walks (parents, incident p/n-edges, leaf lists) once; ``neighbors(v)``
-then climbs v's ancestor chain, accumulates signed counts over the leaf
-sets of adjacent supernodes and returns the subnodes with net count 1.
+walks once: parents and leaf lists from the summary's
+:class:`repro.model.summary.Forest` (``parent`` and ``members()``) and
+the incident p/n-edges. ``neighbors(v)`` then climbs v's ancestor chain,
+accumulates signed counts over the leaf sets of adjacent supernodes and
+returns the subnodes with net count 1.
 This is the access path that lets BFS/PageRank/Dijkstra run directly on
 a summary (Sect. VIII-C).
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .summary import HierSummary
+from .summary import Forest, HierSummary
 
 
 class NeighborIndex:
@@ -20,8 +22,9 @@ class NeighborIndex:
 
     def __init__(self, summary: HierSummary):
         self.summary = summary
-        self.parent = summary.parent_map()
-        self.members = summary.leaf_members()
+        f = Forest.from_summary(summary)
+        self.parent = f.parent
+        self.members = f.members()
         self.inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for x, y, s in zip(
             summary.pedges["x"].astype(int),

@@ -1,28 +1,33 @@
-"""The hierarchical graph summarization model Ḡ = (S, P+, P−, H).
+"""The hierarchical graph summarization model Ḡ = (S, P+, P−, H) (Sect. II).
 
-``HierSummary`` is the output type of SLUGGER and the input to the
-decoder, the metrics, and the partial-decompression routines. Supernodes
-are identified by int64 ids; the singleton supernode {u} has id == u
-(subnode ids are 0..n_sub-1), internal supernodes get larger ids.
+Supernodes are identified by int64 ids; the singleton supernode {u} has
+id == u (subnode ids are 0..n_sub-1), internal supernodes get larger ids.
+The model has two forms:
 
-Tables (pandas). SLUGGER edits a :class:`repro.core.forest.Forest` and
-edge list during its rounds and writes these tables once, after the last
-round; pruning reads them and writes them again (DESIGN.md §3.2):
-- ``nodes``:  (nid, size) — every supernode, including singletons.
-- ``hedges``: (parent, child) — the containment forest H.
-- ``pedges``: (x, y, sign) — P+ rows with sign=+1, P− rows with sign=−1;
-  canonical x <= y (x == y is a supernode self-loop).
+- :class:`HierSummary`, the frozen table form: SLUGGER's output and the
+  input of the decoders, the metrics, partial decompression and pruning.
+  Its tables (pandas) are
+  - ``nodes``:  (nid, size) — every supernode, including singletons;
+  - ``hedges``: (parent, child) — the containment forest H;
+  - ``pedges``: (x, y, sign) — P+ rows with sign=+1, P− rows with
+    sign=−1; canonical x <= y (x == y is a supernode self-loop).
+- :class:`Forest` (S and H) with :class:`SignedEdges` (P+ and P−), the
+  mutable form. The SLUGGER driver, the group worker (Algorithm 2) and
+  pruning (Algorithm 3) edit it, and every reader of a ``HierSummary``
+  walks the one ``Forest.from_summary`` builds (DESIGN.md §3.2).
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import pandas as pd
 
-NODE_COLS = ["nid", "size"]
-HEDGE_COLS = ["parent", "child"]
-PEDGE_COLS = ["x", "y", "sign"]
+
+def canon(x: int, y: int) -> tuple[int, int]:
+    return (x, y) if x <= y else (y, x)
 
 
 def empty_hedges() -> pd.DataFrame:
@@ -68,80 +73,6 @@ class HierSummary:
         )
         return HierSummary(n_sub=n_sub, nodes=nodes, hedges=empty_hedges(), pedges=pe)
 
-    # ---- derived structure -------------------------------------------------
-
-    def parent_map(self) -> dict[int, int]:
-        return dict(
-            zip(self.hedges["child"].astype(int), self.hedges["parent"].astype(int))
-        )
-
-    def children_map(self) -> dict[int, list[int]]:
-        ch: dict[int, list[int]] = {}
-        for p, c in zip(self.hedges["parent"].astype(int), self.hedges["child"].astype(int)):
-            ch.setdefault(p, []).append(c)
-        return ch
-
-    def roots(self) -> np.ndarray:
-        """Supernodes without a parent."""
-        has_parent = set(self.hedges["child"].astype(int))
-        nids = self.nodes["nid"].to_numpy(dtype=np.int64)
-        return np.array([v for v in nids if int(v) not in has_parent], dtype=np.int64)
-
-    def leaf_members(self) -> dict[int, list[int]]:
-        """supernode id -> sorted list of contained subnodes (leaf ids)."""
-        ch = self.children_map()
-        memo: dict[int, list[int]] = {}
-
-        def collect(v: int) -> list[int]:
-            if v in memo:
-                return memo[v]
-            if v not in ch:
-                memo[v] = [v]
-            else:
-                out: list[int] = []
-                for c in ch[v]:
-                    out.extend(collect(c))
-                out.sort()
-                memo[v] = out
-            return memo[v]
-
-        for v in self.nodes["nid"].astype(int):
-            collect(v)
-        return memo
-
-    def membership(self) -> pd.DataFrame:
-        """(sub, sup) int64 rows for every subnode u and every supernode
-        containing u (including the singleton {u} itself), sorted by sub
-        and then from {u} up to its root.
-
-        The Spark ``decode`` reads each supernode's members and root from
-        it (``decode.tree_pair_rows``). Built on the driver with one
-        vectorized step per tree level: the h-edges are sorted by child
-        once, and each step looks up the parents of the current frontier
-        with ``np.searchsorted``. Supernode ids reach about 2**40
-        (``groupmerge.new_id``), so nothing is indexed by id.
-        ``decode_pd`` uses ``leaf_members`` instead, which keeps the two
-        decoders independent."""
-        child = self.hedges["child"].to_numpy(dtype=np.int64)
-        order = np.argsort(child, kind="stable")
-        child = child[order]
-        parent = self.hedges["parent"].to_numpy(dtype=np.int64)[order]
-        sub = np.arange(self.n_sub, dtype=np.int64)
-        sup = sub
-        subs, sups = [sub], [sup]
-        while len(sup):
-            i = np.searchsorted(child, sup)
-            up = i < len(child)
-            up[up] = child[i[up]] == sup[up]
-            sub, sup = sub[up], parent[i[up]]
-            subs.append(sub)
-            sups.append(sup)
-        sub, sup = np.concatenate(subs), np.concatenate(sups)
-        order = np.argsort(sub, kind="stable")
-        return pd.DataFrame({"sub": sub[order], "sup": sup[order]})
-
-    # ---- invariants --------------------------------------------------------
-
     def validate(self) -> None:
         """Structural invariants: forest well-formedness, singleton leaves,
         consistent sizes, canonical signed p/n-edges, none between a
@@ -154,26 +85,18 @@ class HierSummary:
         for col in ("parent", "child"):
             assert set(self.hedges[col].astype(int)) <= nids, f"unknown {col} in hedges"
         # leaves of the forest are exactly the singleton supernodes
-        ch = self.children_map()
+        f = Forest.from_summary(self)
         for v in nids:
             if v >= self.n_sub:
-                assert v in ch and len(ch[v]) >= 1, f"internal supernode {v} has no children"
+                assert f.children.get(v), f"internal supernode {v} has no children"
             else:
-                assert v not in ch, f"singleton {v} has children"
-        # acyclic: walking up from every leaf terminates
-        parent = self.parent_map()
-        for u in range(self.n_sub):
-            seen = set()
-            v = u
-            while v in parent:
-                assert v not in seen, "cycle in hierarchy"
-                seen.add(v)
-                v = parent[v]
+                assert v not in f.children, f"singleton {v} has children"
+        # acyclic: with one parent each, a node on a cycle lies under no root
+        assert len(f.root_of()) == len(nids), "cycle in hierarchy"
         # sizes consistent with the tree
-        members = self.leaf_members()
-        size = dict(zip(self.nodes["nid"].astype(int), self.nodes["size"].astype(int)))
+        members = f.members()
         for v in nids:
-            assert size[v] == len(members[v]), f"size mismatch at supernode {v}"
+            assert f.size[v] == len(members[v]), f"size mismatch at supernode {v}"
         # p/n-edges canonical and signed
         if len(self.pedges):
             assert (self.pedges["x"] <= self.pedges["y"]).all(), "pedges not canonical"
@@ -186,8 +109,8 @@ class HierSummary:
         # an edge covers pairs of its endpoints' members, so an edge between
         # a supernode and its ancestor would cover self-pairs (u, u)
         def ancestors(v: int):
-            while v in parent:
-                v = parent[v]
+            while v in f.parent:
+                v = f.parent[v]
                 yield v
 
         for x, y in zip(self.pedges["x"].astype(int), self.pedges["y"].astype(int)):
@@ -195,10 +118,147 @@ class HierSummary:
                 f"p/n-edge ({x}, {y}) joins a supernode to its ancestor"
             )
 
-    def copy(self) -> "HierSummary":
+
+class Forest:
+    """Supernode sizes and the containment forest H as parent/children maps.
+
+    ``n_sub`` is the number of subnodes (ids ``0..n_sub-1``); a forest that
+    holds some trees only (a group worker's) passes 0 and reads neither
+    :meth:`members`, :meth:`leaf_root` nor :meth:`to_summary`. Children
+    lists keep their insertion order, which fixes the order of
+    :meth:`tree`. Every walk is iterative, so a tree of any depth is fine."""
+
+    __slots__ = ("n_sub", "size", "parent", "children")
+
+    def __init__(self, n_sub: int, size: dict[int, int],
+                 hedges: Iterable[tuple[int, int]] = ()):
+        self.n_sub, self.size = n_sub, size
+        self.parent: dict[int, int] = {}
+        self.children: dict[int, list[int]] = {}
+        for p, c in hedges:
+            self.children.setdefault(p, []).append(c)
+            self.parent[c] = p
+
+    @classmethod
+    def from_summary(cls, summary: HierSummary) -> "Forest":
+        nodes, hedges = summary.nodes, summary.hedges
+        return cls(summary.n_sub, dict(zip(nodes["nid"].tolist(), nodes["size"].tolist())),
+                   zip(hedges["parent"].tolist(), hedges["child"].tolist()))
+
+    def merge(self, a: int, b: int, u: int) -> None:
+        """Make the new supernode ``u`` the parent of roots ``a`` and ``b``."""
+        self.children[u] = [a, b]
+        self.parent[a] = u
+        self.parent[b] = u
+        self.size[u] = self.size[a] + self.size[b]
+
+    def drop(self, a: int) -> None:
+        """Remove supernode ``a``; its children move up to its parent, or
+        become roots."""
+        kids = self.children.pop(a, [])
+        p = self.parent.pop(a, None)
+        for c in kids:
+            if p is None:
+                del self.parent[c]
+            else:
+                self.parent[c] = p
+                self.children[p].append(c)
+        if p is not None:
+            self.children[p].remove(a)
+        del self.size[a]
+
+    def roots(self) -> list[int]:
+        return [v for v in self.size if v not in self.parent]
+
+    def tree(self, r: int) -> list[int]:
+        """Every supernode of the tree under ``r``, in depth-first order
+        (each parent before its children)."""
+        stack, out = [r], []
+        while stack:
+            v = stack.pop()
+            out.append(v)
+            stack.extend(self.children.get(v, ()))
+        return out
+
+    def leaves(self, r: int) -> list[int]:
+        """The subnodes under ``r``, in :meth:`tree` order."""
+        return [v for v in self.tree(r) if v not in self.children]
+
+    def root_of(self) -> dict[int, int]:
+        """Every supernode under a root -> that root. A node on a cycle of
+        h-edges lies under no root and is left out."""
+        return {v: r for r in self.roots() for v in self.tree(r)}
+
+    def members(self) -> dict[int, list[int]]:
+        """Every supernode under a root -> its subnodes, sorted. A childless
+        id >= ``n_sub`` holds no subnode."""
+        out: dict[int, list[int]] = {}
+        for r in self.roots():
+            for v in reversed(self.tree(r)):  # children before their parent
+                kids = self.children.get(v)
+                if kids:
+                    m = [u for c in kids for u in out[c]]
+                    m.sort()
+                    out[v] = m
+                else:
+                    out[v] = [v] if v < self.n_sub else []
+        return out
+
+    def leaf_root(self) -> np.ndarray:
+        """int64 array: the root of every subnode's tree."""
+        out = np.arange(self.n_sub, dtype=np.int64)
+        for r in self.roots():
+            if r in self.children:
+                for v in self.leaves(r):
+                    out[v] = r
+        return out
+
+    def to_summary(self, edges: Iterable[tuple[int, int, int]]) -> HierSummary:
+        """The summary of this forest with the p/n-edges ``(x, y, sign)``
+        (either orientation), every table sorted."""
+        nids = sorted(self.size)
+        childs = sorted(self.parent)
+        pe = sorted((*canon(x, y), s) for x, y, s in edges)
+
+        def frame(**cols) -> pd.DataFrame:
+            return pd.DataFrame({k: np.array(v, dtype=np.int64) for k, v in cols.items()})
+
         return HierSummary(
             n_sub=self.n_sub,
-            nodes=self.nodes.copy(),
-            hedges=self.hedges.copy(),
-            pedges=self.pedges.copy(),
+            nodes=frame(nid=nids, size=[self.size[v] for v in nids]),
+            hedges=frame(parent=[self.parent[c] for c in childs], child=childs),
+            pedges=frame(x=[e[0] for e in pe], y=[e[1] for e in pe], sign=[e[2] for e in pe]),
         )
+
+
+class SignedEdges(dict):
+    """The p/n-edges as a dict ``(min, max) -> sign`` plus an adjacency map
+    ``v -> {neighbour: sign}`` (a self-loop is one entry). Adding an edge
+    that is already there fails an assertion."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, edges: Iterable[tuple[int, int, int]] = ()):
+        super().__init__()
+        self.adj: dict[int, dict[int, int]] = defaultdict(dict)
+        for x, y, s in edges:
+            self.add(x, y, s)
+
+    def add(self, x: int, y: int, s: int) -> None:
+        key = canon(x, y)
+        assert key not in self, f"duplicate edge {key}"
+        self[key] = s
+        self.adj[x][y] = s
+        self.adj[y][x] = s
+
+    def remove(self, x: int, y: int) -> None:
+        del self[canon(x, y)]
+        del self.adj[x][y]
+        if x != y:
+            del self.adj[y][x]
+
+    def incident(self, v: int) -> dict[int, int]:
+        return self.adj.get(v, {})
+
+    def triples(self) -> list[tuple[int, int, int]]:
+        return [(x, y, s) for (x, y), s in self.items()]

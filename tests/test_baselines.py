@@ -88,7 +88,7 @@ class TestSweg:
     def test_compresses_cliques(self):
         edges, n = gen.caveman_cliques(36, clique_size=6, p_rewire=0.0, seed=0), 36
         res = sweg(edges, n, T=4, seed=0, engine="local")
-        assert res.flat.cost_eq11(len(edges)) < 0.7
+        assert res.flat.metrics(len(edges)).relative_size < 0.7
 
     def test_own_objective_never_exceeds_identity(self):
         # SWeG's objective excludes the membership cost |H*| (Eq. 11 adds
@@ -148,7 +148,7 @@ class TestRandomized:
     def test_compresses_cliques_well(self):
         edges, n = gen.caveman_cliques(36, clique_size=6, p_rewire=0.0, seed=0), 36
         res = randomized(edges, n, seed=0)
-        assert res.flat.cost_eq11(len(edges)) < 0.7
+        assert res.flat.metrics(len(edges)).relative_size < 0.7
 
     def test_oot_returns_none(self):
         edges, n = gen.caveman_cliques(60, clique_size=6, seed=0), 60
@@ -195,9 +195,9 @@ class TestOrdering:
         sl = slugger(edges, n, T=6, seed=0, engine="local")
         rel_sl = metrics(sl.summary, len(edges)).relative_size
         sw = sweg(edges, n, T=6, seed=0, engine="local")
-        rel_sw = sw.flat.cost_eq11(len(edges))
+        rel_sw = sw.flat.metrics(len(edges)).relative_size
         sa = sags(edges, n, seed=0)
-        rel_sa = sa.flat.cost_eq11(len(edges))
+        rel_sa = sa.flat.metrics(len(edges)).relative_size
         assert rel_sl <= rel_sw + 0.02
         assert rel_sw <= rel_sa + 0.02
 

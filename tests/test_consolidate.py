@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import consolidate as cons
-from repro.core.forest import canon
+from repro.model.summary import canon
 
 
 def consolidate(edges, children):

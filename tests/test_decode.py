@@ -156,6 +156,15 @@ class TestDecodeSpark:
         with pytest.raises(PySparkException, match="net coverage"):
             decode(spark, double_cover_across_trees()).toPandas()
 
+    @pytest.mark.parametrize("make", [
+        lambda: summary(3, {10: [0, 1]}, [(0, 1, 1), (2, 99, 1)]),  # 99 is unknown
+        lambda: summary(3, {10: [0, 1], 11: []}, [(10, 2, 1), (2, 11, -1)]),  # 11 is childless
+    ], ids=["unknown_id", "childless_internal"])
+    def test_rejects_edge_to_empty_supernode(self, spark, make):
+        # the rows are built on the driver, so the call itself raises
+        with pytest.raises(ValueError, match="contains no subnode"):
+            decode(spark, make())
+
     def test_self_pair_guard(self, spark):
         with pytest.raises(PySparkException, match="self-pair"):
             decode(spark, edge_to_ancestor()).toPandas()

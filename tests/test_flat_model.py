@@ -107,7 +107,7 @@ class TestFlatMetrics:
     def test_eq11_identity_is_m_over_m(self):
         e = gen.er(30, 4.0, seed=2)
         fs = encode_flat(e, np.arange(30, dtype=np.int64))
-        assert abs(fs.cost_eq11(len(e)) - 1.0) < 1e-12
+        assert abs(fs.metrics(len(e)).relative_size - 1.0) < 1e-12
 
     def test_unified_metrics_bundle(self):
         e = gen.clique(8)

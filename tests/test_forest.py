@@ -1,12 +1,14 @@
 """The supernode forest and signed edge store shared by the SLUGGER driver,
-the group worker and pruning (repro.core.forest)."""
+the group worker, pruning and every reader of a summary
+(repro.model.summary)."""
 import pytest
 
-from repro.core.forest import Forest, SignedEdges
+from repro.model.summary import Forest, SignedEdges
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
 from tests.test_decode import hier_example
 from tests.test_slugger import NESTED, digest
+from tests.test_summary_model import naive_members
 
 
 def edge_triples(s):
@@ -35,14 +37,17 @@ def test_edits_agree_with_summary_views():
         getattr(f, op)(*args)
         out = f.to_summary([(3, 2, 1)])  # written (2, 3, 1)
         out.validate()
-        assert sorted(f.roots()) == sorted(out.roots().tolist()), op
-        members = out.leaf_members()
-        lr = f.leaf_root()
+        members = naive_members(out)  # read from the written tables
+        roots = set(out.nodes["nid"].tolist()) - set(out.hedges["child"].tolist())
+        assert sorted(f.roots()) == sorted(roots), op
+        assert f.members() == members
+        root_of, lr = f.root_of(), f.leaf_root()
         for r in f.roots():
             assert sorted(f.leaves(r)) == members[r]
             assert sorted(f.tree(r)) == sorted(v for v in members
                                                if set(members[v]) <= set(members[r]))
             assert all(lr[u] == r for u in members[r])
+            assert all(root_of[v] == r for v in f.tree(r))
         assert all(f.size[v] == len(members[v]) for v in f.size)
 
 

@@ -1,10 +1,11 @@
-"""HierSummary container invariants and derived structure."""
+"""HierSummary container invariants, and the structure its Forest derives
+(parents, children, roots, members)."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.graphs import generators as gen
-from repro.model.summary import HierSummary, empty_hedges, empty_pedges
+from repro.model.summary import Forest, HierSummary, empty_hedges, empty_pedges
 
 
 def tiny_summary() -> HierSummary:
@@ -32,31 +33,34 @@ class TestIdentity:
 
     def test_identity_roots_are_singletons(self):
         s = HierSummary.identity(gen.path(4), 4)
-        assert sorted(s.roots()) == [0, 1, 2, 3]
+        assert sorted(Forest.from_summary(s).roots()) == [0, 1, 2, 3]
 
 
 class TestDerived:
     def test_parent_children_maps(self):
-        s = tiny_summary()
-        assert s.parent_map() == {0: 10, 1: 10}
-        assert s.children_map() == {10: [0, 1]}
+        f = Forest.from_summary(tiny_summary())
+        assert f.parent == {0: 10, 1: 10}
+        assert f.children == {10: [0, 1]}
 
     def test_roots(self):
-        assert sorted(tiny_summary().roots()) == [2, 10]
+        assert sorted(Forest.from_summary(tiny_summary()).roots()) == [2, 10]
 
     def test_leaf_members(self):
-        m = tiny_summary().leaf_members()
-        assert m[10] == [0, 1] and m[2] == [2]
+        m = Forest.from_summary(tiny_summary()).members()
+        assert m == {0: [0], 1: [1], 2: [2], 10: [0, 1]}
 
     def test_membership_closure(self):
-        mem = tiny_summary().membership()
-        got = set(zip(mem["sub"], mem["sup"]))
+        f = Forest.from_summary(tiny_summary())
+        got = {(u, v) for v, mem in f.members().items() for u in mem}
         assert got == {(0, 0), (0, 10), (1, 1), (1, 10), (2, 2)}
+        assert f.root_of() == {0: 10, 1: 10, 10: 10, 2: 2}
 
 
-def naive_membership(s: HierSummary) -> set[tuple[int, int]]:
-    """Reference closure: walk each subnode's parent pointers to its root."""
-    parent = s.parent_map()
+def naive_closure(s: HierSummary) -> set[tuple[int, int]]:
+    """Reference closure (subnode, supernode containing it): walk each
+    subnode's parent pointers, read straight from the h-edge table, to its
+    root."""
+    parent = dict(zip(s.hedges["child"].tolist(), s.hedges["parent"].tolist()))
     out = set()
     for u in range(s.n_sub):
         v = u
@@ -67,10 +71,13 @@ def naive_membership(s: HierSummary) -> set[tuple[int, int]]:
     return out
 
 
-def closure(s: HierSummary) -> set[tuple[int, int]]:
-    mem = s.membership()
-    assert mem["sub"].dtype == np.int64 and mem["sup"].dtype == np.int64
-    return set(zip(mem["sub"].tolist(), mem["sup"].tolist()))
+def naive_members(s: HierSummary) -> dict[int, list[int]]:
+    """Reference members: every supernode holding a subnode -> its sorted
+    subnodes, from :func:`naive_closure`."""
+    out: dict[int, list[int]] = {}
+    for u, v in sorted(naive_closure(s)):
+        out.setdefault(v, []).append(u)
+    return out
 
 
 def deep_forest() -> HierSummary:
@@ -99,30 +106,42 @@ def deep_forest() -> HierSummary:
     nids = list(range(20)) + sorted(set(parents))
     s = HierSummary(n_sub=20, nodes=pd.DataFrame({"nid": nids, "size": 1}, dtype=np.int64),
                     hedges=hedges, pedges=empty_pedges())
-    members = s.leaf_members()
+    members = naive_members(s)
     s.nodes["size"] = [len(members[v]) for v in nids]
     return s
 
 
 class TestMembership:
-    """``membership`` against a per-subnode parent walk, as sets."""
+    """``Forest.members`` and ``Forest.root_of`` against a per-subnode
+    parent walk."""
 
     def test_depth_four_forest_with_large_ids(self):
         s = deep_forest()
         s.validate()
-        want = naive_membership(s)
+        want = naive_closure(s)
         assert max(sum(1 for w, _ in want if w == u) for u in range(20)) == 5
-        assert closure(s) == want
-        assert len(s.membership()) == len(want)
+        f = Forest.from_summary(s)
+        assert f.members() == naive_members(s)
+        # every supernode containing u lies under u's top ancestor
+        parent = dict(zip(s.hedges["child"].tolist(), s.hedges["parent"].tolist()))
+        top = {u: v for u, v in want if v not in parent}
+        assert {v: top[u] for u, v in want} == f.root_of()
 
     def test_no_hedges(self):
         s = HierSummary.identity(gen.path(5), 5)
-        assert closure(s) == naive_membership(s) == {(u, u) for u in range(5)}
+        f = Forest.from_summary(s)
+        assert f.members() == naive_members(s) == {u: [u] for u in range(5)}
+        assert f.root_of() == {u: u for u in range(5)}
 
     def test_no_subnodes(self):
         s = HierSummary(n_sub=0, nodes=pd.DataFrame({"nid": [], "size": []}, dtype=np.int64),
                         hedges=empty_hedges(), pedges=empty_pedges())
-        assert closure(s) == naive_membership(s) == set()
+        f = Forest.from_summary(s)
+        assert f.members() == naive_members(s) == {} and f.root_of() == {}
+
+    def test_childless_internal_holds_no_subnode(self):
+        f = Forest(3, {0: 1, 1: 1, 2: 1, 10: 2, 11: 0}, [(10, 0), (10, 1)])
+        assert f.members() == {0: [0], 1: [1], 2: [2], 10: [0, 1], 11: []}
 
 
 class TestValidate:
@@ -177,8 +196,14 @@ class TestValidate:
         with pytest.raises(AssertionError, match="ancestor"):
             s.validate()
 
-    def test_copy_is_deep(self):
+    def test_detects_cycle_no_leaf_reaches(self):
+        # a valid tree beside internal supernodes 3 -> 4 -> 3
         s = tiny_summary()
-        c = s.copy()
-        c.pedges.loc[0, "sign"] = -1
-        assert s.pedges.loc[0, "sign"] == 1
+        s.nodes = pd.concat(
+            [s.nodes, pd.DataFrame({"nid": [3, 4], "size": [1, 1]})], ignore_index=True
+        )
+        s.hedges = pd.concat(
+            [s.hedges, pd.DataFrame({"parent": [3, 4], "child": [4, 3]})], ignore_index=True
+        )
+        with pytest.raises(AssertionError, match="cycle"):
+            s.validate()
