@@ -131,7 +131,10 @@ def slugger(
     outside ``[0, n_sub)`` raises ValueError.
 
     ``T``: number of rounds, in ``[0, 128)``; ``T=0`` is legal and gives
-    the identity summary, which is then pruned.
+    the identity summary, which is then pruned. When ``T >= 2`` the loop
+    starts at round 2 on the input edges: round 1 provably merges nothing,
+    as two subnodes with cn common neighbours save at most (cn−2)/(2·cn)
+    < θ(1) = 1/2 (DESIGN.md §3.2).
     ``hb``: height bound (0 = unlimited, Table V); ``hb < 0`` raises
     ValueError. ``engine``: "spark" (groups in one mapInPandas job; needs
     ``spark``) or "local" (same worker, in-process); anything else raises
@@ -151,7 +154,7 @@ def slugger(
     t0 = time.perf_counter()
     forest = Forest(n_sub, {u: 1 for u in range(n_sub)})
     pedges = [(int(s), int(d), 1) for s, d in zip(edges["src"], edges["dst"])]
-    for t in range(1, T + 1):
+    for t in range(2 if T >= 2 else 1, T + 1):
         pedges = _run_round(forest, pedges, edges, t, T, seed, hb, engine, spark)
     summary = forest.to_summary(pedges)
     if do_prune:

@@ -80,33 +80,34 @@ def triangle_count(idx: NeighborIndex) -> int:
 def pagerank_spark(
     spark: SparkSession, edges: DataFrame, n: int, *, d: float = 0.85, iters: int = 20
 ) -> np.ndarray:
-    """Ground-truth PageRank over the raw edge DataFrame (Spark joins)."""
+    """Ground-truth PageRank over the raw edge DataFrame (Spark joins). Per
+    iteration, one job joins the broadcast ranks to the edges and sums each
+    node's incoming shares, and a second adds up those sums."""
     sym = edges.select(F.col("src").alias("u"), F.col("dst").alias("v")).unionByName(
         edges.select(F.col("dst").alias("u"), F.col("src").alias("v"))
-    ).persist()
-    deg = sym.groupBy("u").agg(F.count("*").alias("deg"))
+    )
+    # every directed edge with its source's degree, computed once
+    out = sym.join(sym.groupBy("u").agg(F.count("*").alias("deg")), "u").localCheckpoint()
     ranks = spark.createDataFrame(
         pd.DataFrame({"u": np.arange(n, dtype=np.int64), "r": np.full(n, 1.0 / n)}),
         schema="u long, r double",
     )
+    # a zero share per node, so a node no edge reaches still gets a row
+    zero = ranks.select("u", F.lit(0.0).alias("c"))
     for _ in range(iters):
-        contribs = (
-            sym.join(ranks, "u")
-            .join(deg, "u")
+        # materialise the mass once: the total and the next ranks both read
+        # it, and the checkpoint cuts the lineage so no iteration re-plans
+        # the earlier ones
+        mass = (
+            out.join(F.broadcast(ranks), "u")
             .select(F.col("v").alias("u"), (F.col("r") / F.col("deg")).alias("c"))
+            .unionByName(zero)
             .groupBy("u")
             .agg(F.sum("c").alias("mass"))
+            .localCheckpoint()
         )
-        ranks = (
-            ranks.select("u")
-            .join(contribs, "u", "left")
-            .withColumn("mass", F.coalesce("mass", F.lit(0.0)))
-        )
-        total = ranks.agg(F.sum(F.lit(d) * F.col("mass")).alias("t")).collect()[0]["t"]
-        # cut the lineage, or every iteration re-plans all earlier ones
-        ranks = ranks.select(
+        total = mass.agg(F.sum(F.lit(d) * F.col("mass")).alias("t")).collect()[0]["t"]
+        ranks = mass.select(
             "u", (F.lit(d) * F.col("mass") + F.lit((1.0 - total) / n)).alias("r")
-        ).localCheckpoint()
-    out = ranks.toPandas().sort_values("u")
-    sym.unpersist()
-    return out["r"].to_numpy()
+        )
+    return ranks.toPandas().sort_values("u")["r"].to_numpy()

@@ -17,8 +17,9 @@ so no join, no aggregation across rows and no shuffle is needed. The
 result is lazy; its {0, 1} check runs in the workers and fires when the
 caller runs an action. ``decode_pd`` is the pandas twin used by fast
 unit tests. Both read the member lists of the summary's
-:class:`repro.model.summary.Forest` (``members()``) and expand and sum
-the edges in their own way; the tests and the benchmark check each
+:class:`repro.model.summary.Forest` (``members()``), reject an edge to a
+supernode with no subnode through the same ``checked_pedges``, and expand
+and sum the edges in their own way; the tests and the benchmark check each
 against the input edge set.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core.candidates import map_bundles
-from .summary import Forest, HierSummary, canon
+from .summary import Forest, HierSummary, canon, checked_pedges
 
 
 def tree_pair_rows(
@@ -45,9 +46,7 @@ def tree_pair_rows(
     f = Forest.from_summary(summary)
     members, root = f.members(), f.root_of()
     rows: dict[tuple[int, int], tuple[list, dict]] = defaultdict(lambda: ([], {}))
-    for x, y, s in zip(*(summary.pedges[c].tolist() for c in ("x", "y", "sign"))):
-        if not (members.get(x) and members.get(y)):
-            raise ValueError("a p/n-edge names a supernode that contains no subnode")
+    for x, y, s in checked_pedges(summary, members):
         edges, mem = rows[canon(root[x], root[y])]
         edges.append((x, y, s))
         mem[x], mem[y] = members[x], members[y]
@@ -100,10 +99,12 @@ def decode(spark: SparkSession, summary: HierSummary) -> DataFrame:
 
 def decode_pd(summary: HierSummary) -> pd.DataFrame:
     """Pandas twin of ``decode`` for small graphs (unit tests, Alg-4 oracle).
-    Raises AssertionError on a self-pair or a net outside {0, 1}."""
+    Raises ValueError, as ``decode`` does, if an edge names an unknown id or
+    a supernode that contains no subnode, and AssertionError on a self-pair
+    or a net outside {0, 1}."""
     members = Forest.from_summary(summary).members()
     net: Counter[tuple[int, int]] = Counter()
-    for x, y, s in zip(*(summary.pedges[c].tolist() for c in ("x", "y", "sign"))):
+    for x, y, s in checked_pedges(summary, members):
         if x == y:
             mem = members[x]
             for i in range(len(mem)):

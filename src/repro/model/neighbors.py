@@ -4,9 +4,10 @@ decoding the whole model.
 ``NeighborIndex`` precomputes the per-supernode structures Algorithm 4
 walks once: parents and leaf lists from the summary's
 :class:`repro.model.summary.Forest` (``parent`` and ``members()``) and
-the incident p/n-edges. ``neighbors(v)`` then climbs v's ancestor chain,
-accumulates signed counts over the leaf sets of adjacent supernodes and
-returns the subnodes with net count 1.
+the incident p/n-edges, rejecting an edge to a supernode with no subnode
+as the decoders do (``checked_pedges``). ``neighbors(v)`` then climbs
+v's ancestor chain, accumulates signed counts over the leaf sets of
+adjacent supernodes and returns the subnodes with net count 1.
 This is the access path that lets BFS/PageRank/Dijkstra run directly on
 a summary (Sect. VIII-C).
 """
@@ -14,11 +15,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .summary import Forest, HierSummary
+from .summary import Forest, HierSummary, checked_pedges
 
 
 class NeighborIndex:
-    """Indexed summary supporting O(output)-ish neighbor queries."""
+    """Indexed summary supporting O(output)-ish neighbor queries. Raises
+    ValueError if a p/n-edge names an unknown id or a supernode that
+    contains no subnode."""
 
     def __init__(self, summary: HierSummary):
         self.summary = summary
@@ -26,11 +29,7 @@ class NeighborIndex:
         self.parent = f.parent
         self.members = f.members()
         self.inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for x, y, s in zip(
-            summary.pedges["x"].astype(int),
-            summary.pedges["y"].astype(int),
-            summary.pedges["sign"].astype(int),
-        ):
+        for x, y, s in checked_pedges(summary, self.members):
             self.inc[x].append((y, s))
             if x != y:
                 self.inc[y].append((x, s))

@@ -231,6 +231,19 @@ class Forest:
         )
 
 
+def checked_pedges(summary: HierSummary,
+                   members: dict[int, list[int]]) -> list[tuple[int, int, int]]:
+    """The summary's p/n-edges as ``(x, y, sign)`` tuples in table order,
+    given its :meth:`Forest.members`. Raises ValueError if an edge names an
+    unknown id or a supernode that contains no subnode, which would
+    otherwise decode to nothing."""
+    edges = list(zip(*(summary.pedges[c].tolist() for c in ("x", "y", "sign"))))
+    for x, y, _ in edges:
+        if not (members.get(x) and members.get(y)):
+            raise ValueError(f"a p/n-edge ({x}, {y}) names a supernode that contains no subnode")
+    return edges
+
+
 class SignedEdges(dict):
     """The p/n-edges as a dict ``(min, max) -> sign`` plus an adjacency map
     ``v -> {neighbour: sign}`` (a self-loop is one entry). Adding an edge

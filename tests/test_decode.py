@@ -7,6 +7,7 @@ from pyspark.errors import PySparkException
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
 from repro.model.decode import assert_lossless_pd, decode, decode_pd
+from repro.model.neighbors import NeighborIndex
 from repro.model.summary import HierSummary
 from repro.oracle import assert_equivalent
 
@@ -89,6 +90,14 @@ HAND_BUILT = {
 }
 
 
+# a p/n-edge to a supernode that holds no subnode: every reader raises
+EMPTY_ENDPOINT = [
+    lambda: summary(3, {10: [0, 1]}, [(0, 1, 1), (2, 99, 1)]),  # 99 is unknown
+    lambda: summary(3, {10: [0, 1], 11: []}, [(10, 2, 1), (2, 11, -1)]),  # 11 is childless
+]
+EMPTY_ENDPOINT_IDS = ["unknown_id", "childless_internal"]
+
+
 class TestDecodePandas:
     def test_identity_roundtrip(self):
         e = gen.er(40, 4.0, seed=0)
@@ -114,6 +123,13 @@ class TestDecodePandas:
     def test_net_guard_triggers_on_double_cover(self):
         with pytest.raises(AssertionError, match="net coverage"):
             decode_pd(double_cover())
+
+    @pytest.mark.parametrize("read", [decode_pd, NeighborIndex], ids=["decode_pd", "NeighborIndex"])
+    @pytest.mark.parametrize("make", EMPTY_ENDPOINT, ids=EMPTY_ENDPOINT_IDS)
+    def test_rejects_edge_to_empty_supernode(self, make, read):
+        # the Spark decode's check: an edge that would decode to nothing
+        with pytest.raises(ValueError, match="contains no subnode"):
+            read(make())
 
 
 class TestDecodeSpark:
@@ -156,10 +172,7 @@ class TestDecodeSpark:
         with pytest.raises(PySparkException, match="net coverage"):
             decode(spark, double_cover_across_trees()).toPandas()
 
-    @pytest.mark.parametrize("make", [
-        lambda: summary(3, {10: [0, 1]}, [(0, 1, 1), (2, 99, 1)]),  # 99 is unknown
-        lambda: summary(3, {10: [0, 1], 11: []}, [(10, 2, 1), (2, 11, -1)]),  # 11 is childless
-    ], ids=["unknown_id", "childless_internal"])
+    @pytest.mark.parametrize("make", EMPTY_ENDPOINT, ids=EMPTY_ENDPOINT_IDS)
     def test_rejects_edge_to_empty_supernode(self, spark, make):
         # the rows are built on the driver, so the call itself raises
         with pytest.raises(ValueError, match="contains no subnode"):

@@ -1,6 +1,7 @@
 """Property-based losslessness: random graphs from mixed generators must
 always decode back exactly, for SLUGGER (pruned & unpruned, height-
-bounded) and for the flat encoder under arbitrary partitions."""
+bounded) and for the flat encoder under arbitrary partitions. SLUGGER's
+summary must not depend on the order or orientation of the input rows."""
 import numpy as np
 import pandas as pd
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,7 @@ from repro.core.slugger import slugger
 from repro.graphs import generators as gen
 from repro.model.cost import cost
 from repro.model.decode import assert_lossless_pd
+from tests.test_slugger import digest
 
 SETTINGS = dict(
     max_examples=12,
@@ -59,3 +61,20 @@ def test_height_bounded_lossless(kind, n, seed, hb):
     edges = random_graph(kind, n, seed)
     res = slugger(edges, n, T=3, seed=seed % 97, hb=hb, engine="local")
     assert_lossless_pd(res.summary, edges)
+
+
+@given(kind=st.integers(0, 4), n=st.integers(20, 60), seed=st.integers(0, 10**6),
+       T=st.integers(1, 5), hb=st.sampled_from([0, 2]))
+@settings(**SETTINGS)
+def test_slugger_ignores_input_order(kind, n, seed, T, hb):
+    # round 2 reads the input rows when round 1 is skipped, not round 1's
+    # output: the summary must not depend on their order or orientation
+    edges = random_graph(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    shuffled = edges.iloc[rng.permutation(len(edges))].reset_index(drop=True)
+    flip = rng.random(len(shuffled)) < 0.5
+    src, dst = shuffled["src"].to_numpy(), shuffled["dst"].to_numpy()
+    shuffled = pd.DataFrame({"src": np.where(flip, dst, src), "dst": np.where(flip, src, dst)})
+    want = slugger(edges, n, T=T, seed=seed % 97, hb=hb, engine="local").summary
+    got = slugger(shuffled, n, T=T, seed=seed % 97, hb=hb, engine="local").summary
+    assert digest(got) == digest(want)

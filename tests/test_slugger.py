@@ -67,17 +67,20 @@ class TestGolden:
             "88c0427bb74475699b88f39a06517a1ea73edca5af89a1029264234192cdf892")
 
     def test_ppi_like_t5_control_flow(self, monkeypatch):
-        # Algorithm 2 scores and merges the same pairs: counts recorded
-        # before Saving read cached side scans
-        calls = Counter()
-        for name in ("saving", "merge"):
+        # Algorithm 2 scores and merges the same pairs in every round:
+        # per-round counts recorded before Saving read cached side scans;
+        # round 1 cannot merge and is skipped (DESIGN.md §3.2), so it
+        # makes no call
+        calls = {"saving": Counter(), "merge": Counter()}
+        for name in calls:
             def counted(self, *args, _orig=getattr(groupmerge.GroupWorker, name), _name=name):
-                calls[_name] += 1
+                calls[_name][self.t] += 1
                 return _orig(self, *args)
             monkeypatch.setattr(groupmerge.GroupWorker, name, counted)
         edges = datasets.load("ppi_like", scale="test", seed=0)
         slugger(edges, n_nodes(edges), T=5, seed=0, engine="local")
-        assert calls == {"saving": 2434, "merge": 58}
+        assert calls["saving"] == {2: 1200, 3: 27, 4: 17, 5: 22}
+        assert calls["merge"] == {2: 50, 4: 1, 5: 7}
 
     def test_ppi_like_t5_memo_entries(self):
         # Saving and merge put the same questions to the solver: solver and
