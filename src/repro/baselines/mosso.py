@@ -9,29 +9,27 @@ probability e, then samples up to c candidate supernodes from the
 neighbors of the other endpoint and greedily moves into the best one if
 the exact flat-model cost drops. Substitution documented in DESIGN.md
 §3.3: preserves "online method, compression between RANDOMIZED and the
-offline methods, slow on large inputs" (OOT = ``None``).
-
-Paper settings: e = 0.3, c = 120.
+offline methods, slow on large inputs" (OOT = a ``None`` summary). The
+final partition's optimal flat encoding is returned as a height-1 summary
+(:func:`repro.baselines.flat_encode.encode_flat`).
 """
 from __future__ import annotations
 
 import random
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
-from ..model.flat import FlatSummary, pair_cost as flat_pair_cost
+from ..model.flat import pair_cost as flat_pair_cost
+from ..model.summary import SummaryResult
 from .flat_encode import encode_flat
 
-
-@dataclass
-class MossoResult:
-    flat: FlatSummary | None
-    elapsed_s: float
+# the paper's settings
+E = 0.3  # escape probability per endpoint and edge
+C = 120  # candidate supernodes sampled per move
 
 
 class _State:
@@ -103,11 +101,9 @@ def mosso(
     edges: pd.DataFrame,
     n_sub: int,
     *,
-    e: float = 0.3,
-    c: int = 120,
     seed: int = 0,
     time_limit_s: float = 600.0,
-) -> MossoResult:
+) -> SummaryResult:
     check_edges(edges, n_sub)
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -117,10 +113,10 @@ def mosso(
     fresh = n_sub  # ids for escape singletons
     for i, (u, v) in enumerate(order):
         if i % 256 == 0 and time.perf_counter() - t0 > time_limit_s:
-            return MossoResult(flat=None, elapsed_s=time.perf_counter() - t0)
+            return SummaryResult(None, time.perf_counter() - t0)
         st.add_edge(u, v)
         for x, other in ((u, v), (v, u)):
-            if rng.random() < e:
+            if rng.random() < E:
                 # escape to a fresh singleton if it pays off
                 st.try_move(x, fresh)
                 if st.sup_of[x] == fresh:
@@ -129,14 +125,11 @@ def mosso(
             nbrs = list(st.adj[other])
             if not nbrs:
                 continue
-            trials = min(c, len(nbrs))
+            trials = min(C, len(nbrs))
             moved = False
             for w in rng.sample(nbrs, trials):
                 if moved:
                     break
                 moved = st.try_move(x, st.sup_of[w])
-    group = np.array(
-        [st.sup_of[u] for u in range(n_sub)], dtype=np.int64
-    )
-    flat = encode_flat(edges, group)
-    return MossoResult(flat=flat, elapsed_s=time.perf_counter() - t0)
+    group = np.array(st.sup_of, dtype=np.int64)
+    return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

@@ -5,29 +5,25 @@ reduction of merging u with every supernode within 2 hops, merge the
 best if it reduces cost, otherwise finalize u. Exact flat-model costs
 throughout. Inherently sequential (driver-side); the paper's experiments
 show it timing out on larger graphs, which a wall-clock budget here
-reproduces (a ``None`` return = OOT, shown as "—" in the tables).
+reproduces (a ``None`` summary = OOT, shown as "—" in the tables). The
+partition's optimal flat encoding is returned as a height-1 summary
+(:func:`repro.baselines.flat_encode.encode_flat`).
 """
 from __future__ import annotations
 
 import random
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
-from ..model.flat import FlatSummary, merged_counts, supernode_cost
+from ..model.flat import merged_counts, supernode_cost
+from ..model.summary import SummaryResult
 from .flat_encode import encode_flat
 
 MAX_CANDIDATES = 200  # 2-hop candidates scored per pick; more are sampled down
-
-
-@dataclass
-class RandomizedResult:
-    flat: FlatSummary | None  # None = ran out of time
-    elapsed_s: float
 
 
 def randomized(
@@ -36,7 +32,7 @@ def randomized(
     *,
     seed: int = 0,
     time_limit_s: float = 600.0,
-) -> RandomizedResult:
+) -> SummaryResult:
     check_edges(edges, n_sub)
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -56,7 +52,7 @@ def randomized(
     unfinished = set(range(n_sub))
     while unfinished:
         if time.perf_counter() - t0 > time_limit_s:
-            return RandomizedResult(flat=None, elapsed_s=time.perf_counter() - t0)
+            return SummaryResult(None, time.perf_counter() - t0)
         u = rng.choice(tuple(unfinished))
         # 2-hop candidate supernodes
         hop1 = [x for x in cnt[u] if x != u]
@@ -93,5 +89,4 @@ def randomized(
         unfinished.discard(v)
         unfinished.add(u)
     group = np.array([find(u) for u in range(n_sub)], dtype=np.int64)
-    flat = encode_flat(edges, group)
-    return RandomizedResult(flat=flat, elapsed_s=time.perf_counter() - t0)
+    return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

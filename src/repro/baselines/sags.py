@@ -1,48 +1,39 @@
 """SAGS baseline (Khan et al. / Beg et al., PAKDD'18) — LSH-based.
 
 SAGS skips cost evaluation entirely: it buckets nodes by banded min-hash
-signatures of their neighborhoods (h hash functions, b bands) and merges
-bucket-mates blindly with probability p. This makes it the fastest and
+signatures of their neighborhoods (H hash functions, B bands) and merges
+bucket-mates blindly with probability P. This makes it the fastest and
 least concise method in the paper's evaluation — the behaviour this
-reproduction preserves. Paper settings: h=30, b=10, p=0.3.
+reproduction preserves. The partition's optimal flat encoding is returned
+as a height-1 summary (:func:`repro.baselines.flat_encode.encode_flat`).
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
 from ..core.hashing import P31
 from ..graphs.ops import check_edges
-from ..model.flat import FlatSummary
+from ..model.summary import SummaryResult
 from .flat_encode import encode_flat
 
+# the paper's settings
+H = 30  # min-hash functions
+B = 10  # bands of H // B rows each
+P = 0.3  # probability of merging each bucket-mate
 
-@dataclass
-class SagsResult:
-    flat: FlatSummary
-    elapsed_s: float
 
-
-def sags(
-    edges: pd.DataFrame,
-    n_sub: int,
-    *,
-    h: int = 30,
-    b: int = 10,
-    p: float = 0.3,
-    seed: int = 0,
-) -> SagsResult:
+def sags(edges: pd.DataFrame, n_sub: int, *, seed: int = 0) -> SummaryResult:
     check_edges(edges, n_sub)
     t0 = time.perf_counter()
     g = np.random.default_rng(seed)
     src = edges["src"].to_numpy(dtype=np.int64)
     dst = edges["dst"].to_numpy(dtype=np.int64)
-    # h min-hash signatures of N(v) ∪ {v}
-    sig = np.empty((h, n_sub), dtype=np.int64)
-    for i in range(h):
+    # H min-hash signatures of N(v) ∪ {v}
+    sig = np.empty((H, n_sub), dtype=np.int64)
+    for i in range(H):
         a = int(g.integers(1, P31))
         c = int(g.integers(0, P31))
         hv = (a * np.arange(n_sub, dtype=np.int64) + c) % P31
@@ -50,7 +41,7 @@ def sags(
         np.minimum.at(m, src, hv[dst])
         np.minimum.at(m, dst, hv[src])
         sig[i] = m
-    r = h // b  # rows per band
+    r = H // B  # rows per band
     parent: dict[int, int] = {}
 
     def find(v: int) -> int:
@@ -58,7 +49,7 @@ def sags(
             v = parent[v]
         return v
 
-    for band in range(b):
+    for band in range(B):
         rows = sig[band * r : (band + 1) * r]
         # bucket nodes on the band slice
         df = pd.DataFrame({"key": [tuple(rows[:, v]) for v in range(n_sub)]})
@@ -67,11 +58,10 @@ def sags(
             if len(members) < 2:
                 continue
             g.shuffle(members)
-            # blind chain-merging with probability p per bucket-mate
+            # blind chain-merging with probability P per bucket-mate
             head = members[0]
             for v in members[1:]:
-                if g.random() < p:
+                if g.random() < P:
                     parent[v] = head
     group = np.array([find(u) for u in range(n_sub)], dtype=np.int64)
-    flat = encode_flat(edges, group)
-    return SagsResult(flat=flat, elapsed_s=time.perf_counter() - t0)
+    return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

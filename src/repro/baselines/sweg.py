@@ -2,10 +2,10 @@
 
 T rounds of {min-hash candidate sets → greedy within-group merging with
 threshold θ(t) = 1/(1+t)} over the *flat* model, followed by the optimal
-flat encoding. Within a group, Saving(A, B) is computed from exact
-per-supernode-pair subedge counts (the original uses a SuperJaccard
-approximation for speed; the exact-count variant is the same algorithm
-with a sharper score — documented in DESIGN.md). Groups run through
+flat encoding, a height-1 summary. Within a group, Saving(A, B) is
+computed from exact per-supernode-pair subedge counts (the original uses
+a SuperJaccard approximation for speed; the exact-count variant is the
+same algorithm with a sharper score — documented in DESIGN.md). Groups run through
 SLUGGER's executor, :func:`repro.core.candidates.run_groups` (in-process,
 or one ``mapInPandas`` job over pickled per-group bundles, no shuffle);
 counts are recomputed from the edge set between rounds (distributed
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -23,7 +22,8 @@ from pyspark.sql import SparkSession
 
 from ..core import candidates
 from ..graphs.ops import check_edges
-from ..model.flat import FlatSummary, merged_counts, supernode_cost
+from ..model.flat import merged_counts, supernode_cost
+from ..model.summary import SummaryResult
 from .flat_encode import encode_flat
 
 
@@ -118,12 +118,6 @@ def _run_group(gid: int, bundle: tuple, t: int, big_t: int, seed: int) -> list[t
     return g.merges
 
 
-@dataclass
-class SwegResult:
-    flat: FlatSummary
-    elapsed_s: float
-
-
 def sweg(
     edges: pd.DataFrame,
     n_sub: int,
@@ -132,8 +126,9 @@ def sweg(
     seed: int = 0,
     engine: str = "local",
     spark: SparkSession | None = None,
-) -> SwegResult:
-    """Run SWEG and return the optimally flat-encoded summary.
+) -> SummaryResult:
+    """Run SWEG and return the optimal flat encoding of its partition, a
+    height-1 summary (:func:`repro.baselines.flat_encode.encode_flat`).
 
     ``T``: number of rounds; ``T=0`` is legal and flat-encodes the identity
     partition, a negative ``T`` raises ValueError.
@@ -181,5 +176,4 @@ def sweg(
 
         final = {v: find(v) for v in size}
         group = np.array([final[g] for g in group.tolist()], dtype=np.int64)
-    flat = encode_flat(edges, group)
-    return SwegResult(flat=flat, elapsed_s=time.perf_counter() - t0)
+    return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

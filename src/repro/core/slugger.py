@@ -24,25 +24,16 @@ enables the Table-V height-bound variant.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..graphs.ops import check_edges
-from ..model.summary import Forest, HierSummary
+from ..model.summary import Forest, SummaryResult
 from . import candidates, groupmerge
 from .consolidate import consolidate
 from .pruning import prune
-
-
-@dataclass
-class SluggerResult:
-    """The final summary and the run's wall time."""
-
-    summary: HierSummary
-    elapsed_s: float
 
 
 def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], leaf_root: np.ndarray,
@@ -125,7 +116,7 @@ def slugger(
     engine: str = "local",
     spark: SparkSession | None = None,
     do_prune: bool = True,
-) -> SluggerResult:
+) -> SummaryResult:
     """Run SLUGGER on a simple undirected pandas edge list (``src``,
     ``dst``); a non-integer column, a self-loop, a duplicate edge or an id
     outside ``[0, n_sub)`` raises ValueError.
@@ -159,4 +150,4 @@ def slugger(
     summary = forest.to_summary(pedges)
     if do_prune:
         summary = prune(summary, edges)
-    return SluggerResult(summary=summary, elapsed_s=time.perf_counter() - t0)
+    return SummaryResult(summary=summary, elapsed_s=time.perf_counter() - t0)

@@ -1,13 +1,12 @@
 """Unified experiment runner: one call = one (method, dataset) cell.
 
-Every method returns the same record shape so the table builders in
-:mod:`repro.eval.tables` can mix hierarchical (SLUGGER, Eq. 10) and flat
-(baselines, Eq. 11) results. ``None``-valued metrics mark OOT runs (the
-paper reports those as missing bars).
+Every method returns a :class:`repro.model.summary.HierSummary` (the
+baselines' has height-1 trees, whose Eq. 10 size is their Eq. 11), so
+every record comes from the same :func:`repro.model.cost.metrics` and the
+table builders in :mod:`repro.eval.tables` can mix them. ``None``-valued
+metrics mark OOT runs (the paper reports those as missing bars).
 """
 from __future__ import annotations
-
-from typing import Any
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -39,32 +38,27 @@ def run_method(
     T: int = 20,
     engine: str = "local",
     time_limit_s: float = 600.0,
-    **kw: Any,
 ) -> dict:
     """Run one summarizer; returns {method, relative_size, elapsed_s, ...}."""
-    m_edges = len(edges)
     if method == "slugger":
-        res = slugger(edges, n_sub, T=T, seed=seed, engine=engine, spark=spark, **kw)
-        met = metrics(res.summary, m_edges)
+        res = slugger(edges, n_sub, T=T, seed=seed, engine=engine, spark=spark)
+    elif method == "sweg":
+        res = sweg(edges, n_sub, T=T, seed=seed, engine=engine, spark=spark)
+    elif method == "sags":
+        res = sags(edges, n_sub, seed=seed)
+    elif method == "randomized":
+        res = randomized(edges, n_sub, seed=seed, time_limit_s=time_limit_s)
+    elif method == "mosso":
+        res = mosso(edges, n_sub, seed=seed, time_limit_s=time_limit_s)
     else:
-        if method == "sweg":
-            res = sweg(edges, n_sub, T=T, seed=seed, engine=engine, spark=spark)
-        elif method == "sags":
-            res = sags(edges, n_sub, seed=seed)
-        elif method == "randomized":
-            res = randomized(edges, n_sub, seed=seed, time_limit_s=time_limit_s)
-        elif method == "mosso":
-            res = mosso(edges, n_sub, seed=seed, time_limit_s=time_limit_s)
-        else:
-            raise ValueError(f"unknown method {method}")
-        met = res.flat.metrics(m_edges) if res.flat is not None else None
-    elapsed = res.elapsed_s
-    if met is None:
-        return {"method": method, "relative_size": None, "elapsed_s": elapsed}
+        raise ValueError(f"unknown method {method}")
+    if res.summary is None:
+        return {"method": method, "relative_size": None, "elapsed_s": res.elapsed_s}
+    met = metrics(res.summary, len(edges))
     return {
         "method": method,
         "relative_size": met.relative_size,
-        "elapsed_s": elapsed,
+        "elapsed_s": res.elapsed_s,
         "n_p_plus": met.n_p_plus,
         "n_p_minus": met.n_p_minus,
         "n_h": met.n_h,

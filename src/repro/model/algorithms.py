@@ -82,32 +82,25 @@ def pagerank_spark(
 ) -> np.ndarray:
     """Ground-truth PageRank over the raw edge DataFrame (Spark joins). Per
     iteration, one job joins the broadcast ranks to the edges and sums each
-    node's incoming shares, and a second adds up those sums."""
+    node's incoming shares; the teleport term and the total are added in
+    numpy, as in :func:`pagerank_on_summary`."""
     sym = edges.select(F.col("src").alias("u"), F.col("dst").alias("v")).unionByName(
         edges.select(F.col("dst").alias("u"), F.col("src").alias("v"))
     )
     # every directed edge with its source's degree, computed once
     out = sym.join(sym.groupBy("u").agg(F.count("*").alias("deg")), "u").localCheckpoint()
-    ranks = spark.createDataFrame(
-        pd.DataFrame({"u": np.arange(n, dtype=np.int64), "r": np.full(n, 1.0 / n)}),
-        schema="u long, r double",
-    )
-    # a zero share per node, so a node no edge reaches still gets a row
-    zero = ranks.select("u", F.lit(0.0).alias("c"))
+    u = np.arange(n, dtype=np.int64)
+    r = np.full(n, 1.0 / n)
     for _ in range(iters):
-        # materialise the mass once: the total and the next ranks both read
-        # it, and the checkpoint cuts the lineage so no iteration re-plans
-        # the earlier ones
+        # built from pandas, the ranks start no job and carry no lineage
+        ranks = spark.createDataFrame(pd.DataFrame({"u": u, "r": r}), schema="u long, r double")
         mass = (
             out.join(F.broadcast(ranks), "u")
-            .select(F.col("v").alias("u"), (F.col("r") / F.col("deg")).alias("c"))
-            .unionByName(zero)
-            .groupBy("u")
-            .agg(F.sum("c").alias("mass"))
-            .localCheckpoint()
+            .groupBy("v")
+            .agg(F.sum(F.col("r") / F.col("deg")).alias("mass"))
+            .toPandas()
         )
-        total = mass.agg(F.sum(F.lit(d) * F.col("mass")).alias("t")).collect()[0]["t"]
-        ranks = mass.select(
-            "u", (F.lit(d) * F.col("mass") + F.lit((1.0 - total) / n)).alias("r")
-        )
-    return ranks.toPandas().sort_values("u")["r"].to_numpy()
+        r = np.zeros(n)
+        r[mass["v"].to_numpy()] = d * mass["mass"].to_numpy()
+        r += (1.0 - r.sum()) / n
+    return r

@@ -4,8 +4,10 @@ Supernodes are identified by int64 ids; the singleton supernode {u} has
 id == u (subnode ids are 0..n_sub-1), internal supernodes get larger ids.
 The model has two forms:
 
-- :class:`HierSummary`, the frozen table form: SLUGGER's output and the
-  input of the decoders, the metrics, partial decompression and pruning.
+- :class:`HierSummary`, the frozen table form: the output of SLUGGER and
+  of the four baselines (height-1 trees, see
+  :mod:`repro.baselines.flat_encode`), and the input of the decoders, the
+  metrics, partial decompression and pruning.
   Its tables (pandas) are
   - ``nodes``:  (nid, size) — every supernode, including singletons;
   - ``hedges``: (parent, child) — the containment forest H;
@@ -117,6 +119,15 @@ class HierSummary:
             assert x == y or (x not in ancestors(y) and y not in ancestors(x)), (
                 f"p/n-edge ({x}, {y}) joins a supernode to its ancestor"
             )
+
+
+@dataclass
+class SummaryResult:
+    """A summarizer's output and the run's wall time. ``summary`` is None
+    when a time-limited baseline ran out of time (OOT)."""
+
+    summary: HierSummary | None
+    elapsed_s: float
 
 
 class Forest:

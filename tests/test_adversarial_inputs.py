@@ -1,11 +1,12 @@
 """Adversarial edge lists at every public summarizer (local engine).
 
 Each summarizer must either raise ValueError or return a summary that
-decodes exactly to the input's edge set; a hierarchical summary must also
-pass ``HierSummary.validate``. Inputs that no simple undirected
-graph over ``0..n_sub-1`` can be (a duplicate edge in either orientation,
-a self-loop, an id out of range) must raise; integer edge lists must
-decode, whatever their orientation, integer width, extra columns or index.
+decodes exactly to the input's edge set and passes ``HierSummary.validate``
+(the baselines' summaries have height-1 trees). Inputs that no simple
+undirected graph over ``0..n_sub-1`` can be (a duplicate edge in either
+orientation, a self-loop, an id out of range) must raise; integer edge
+lists must decode, whatever their orientation, integer width, extra
+columns or index.
 Float and object id columns may do either (``check_edges`` rejects them).
 """
 import itertools
@@ -23,7 +24,6 @@ from repro.baselines.sweg import sweg
 from repro.core.pruning import prune
 from repro.core.slugger import slugger
 from repro.model.decode import decode_pd
-from repro.model.flat import decode_flat_pd
 from repro.model.summary import HierSummary
 
 DEFECTS = ("duplicate", "reversed_duplicate", "self_loop", "out_of_range", "negative")
@@ -103,10 +103,10 @@ def test_hierarchical_summarizers(name, case):
 
 
 FLAT = {
-    "sweg": lambda e, n: sweg(e, n, T=2, seed=1, engine="local").flat,
-    "sags": lambda e, n: sags(e, n, seed=1).flat,
-    "randomized": lambda e, n: randomized(e, n, seed=1).flat,
-    "mosso": lambda e, n: mosso(e, n, seed=1).flat,
+    "sweg": lambda e, n: sweg(e, n, T=2, seed=1, engine="local").summary,
+    "sags": lambda e, n: sags(e, n, seed=1).summary,
+    "randomized": lambda e, n: randomized(e, n, seed=1).summary,
+    "mosso": lambda e, n: mosso(e, n, seed=1).summary,
 }
 
 
@@ -125,4 +125,4 @@ def quirky_edges():
 @example(case=quirky_edges())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_flat_summarizers_on_quirky_edges(name, case):
-    check(*case, lambda e, n: decode_flat_pd(FLAT[name](e, n)))
+    check(*case, lambda e, n: valid_decode(FLAT[name](e, n)))

@@ -1,11 +1,11 @@
 """Baseline summarizer tests: losslessness, evaluated behaviour shape,
-pinned SWEG output, argument checks."""
-import hashlib
-
-import numpy as np
+pinned output, argument checks. Every baseline returns a height-1
+``HierSummary``, so the summary model's own validate, metrics, decoders
+and digest serve them as they serve SLUGGER."""
 import pandas as pd
 import pytest
 
+from repro.baselines import sags as sags_module
 from repro.baselines.mosso import mosso
 from repro.baselines.randomized import randomized
 from repro.baselines.sags import sags
@@ -13,25 +13,23 @@ from repro.baselines.sweg import sweg
 from repro.graphs import datasets
 from repro.graphs import generators as gen
 from repro.graphs.generators import n_nodes
-from repro.model.flat import decode_flat_pd
+from repro.graphs.ops import adjacency_dict
+from repro.model.cost import metrics
+from repro.model.decode import assert_lossless_pd, decode
+from repro.model.neighbors import NeighborIndex
+from repro.model.summary import Forest
+from repro.oracle import assert_equivalent
+from tests.test_slugger import digest
 
 
-def _lossless(fs, edges):
-    got = decode_flat_pd(fs).sort_values(["src", "dst"]).reset_index(drop=True)
-    want = edges.sort_values(["src", "dst"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
+def _lossless(summary, edges):
+    summary.validate()
+    assert_lossless_pd(summary, edges)
 
 
-def flat_digest(fs) -> str:
-    """sha256 of the partition and the P, C+, C- tables, each sorted on all
-    its columns."""
-    h = hashlib.sha256(str(fs.n_sub).encode())
-    h.update(np.ascontiguousarray(fs.group, dtype=np.int64).tobytes())
-    for table, cols in (("p", ["x", "y"]), ("cp", ["src", "dst"]), ("cn", ["src", "dst"])):
-        arr = getattr(fs, table).sort_values(cols)[cols].to_numpy(dtype=np.int64)
-        h.update(",".join(cols).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
+def n_supernodes(summary) -> int:
+    """Roots of the summary: the partition's supernodes."""
+    return len(Forest.from_summary(summary).roots())
 
 
 GRAPHS = [
@@ -47,19 +45,19 @@ class TestSweg:
     def test_lossless(self, name, make):
         edges, n = make()
         res = sweg(edges, n, T=3, seed=0, engine="local")
-        _lossless(res.flat, edges)
+        _lossless(res.summary, edges)
 
     def test_deterministic(self):
         edges, n = gen.caveman_cliques(30, clique_size=6, seed=0), 30
         r1 = sweg(edges, n, T=2, seed=5, engine="local")
         r2 = sweg(edges, n, T=2, seed=5, engine="local")
-        assert (r1.flat.group == r2.flat.group).all()
+        assert digest(r1.summary) == digest(r2.summary)
 
     def test_spark_engine_equals_local(self, spark):
         edges, n = gen.caveman_cliques(30, clique_size=6, seed=1), 30
         rl = sweg(edges, n, T=2, seed=0, engine="local")
         rs = sweg(edges, n, T=2, seed=0, engine="spark", spark=spark)
-        assert (rl.flat.group == rs.flat.group).all()
+        assert digest(rl.summary) == digest(rs.summary)
 
     @pytest.mark.parametrize("engine", ["local", "spark"])
     def test_golden_collab_cliques_t5(self, request, engine):
@@ -67,8 +65,8 @@ class TestSweg:
         spark = request.getfixturevalue("spark") if engine == "spark" else None
         edges = datasets.load("collab_cliques", scale="test", seed=0)
         res = sweg(edges, n_nodes(edges), T=5, seed=0, engine=engine, spark=spark)
-        assert flat_digest(res.flat) == (
-            "10042fab424c4bb89240a08c0b9a13cd3925ce2a36845c03ca8631590374cba9")
+        assert digest(res.summary) == (
+            "1ce9d86ce749faf3bb18eb809d9884d75bce619fb36653f780ea4c125695eed0")
 
     def test_unknown_engine(self):
         edges = pd.DataFrame({"src": [0], "dst": [1]})
@@ -88,99 +86,100 @@ class TestSweg:
     def test_compresses_cliques(self):
         edges, n = gen.caveman_cliques(36, clique_size=6, p_rewire=0.0, seed=0), 36
         res = sweg(edges, n, T=4, seed=0, engine="local")
-        assert res.flat.metrics(len(edges)).relative_size < 0.7
+        assert metrics(res.summary, len(edges)).relative_size < 0.7
 
     def test_own_objective_never_exceeds_identity(self):
         # SWeG's objective excludes the membership cost |H*| (Eq. 11 adds
         # it when the SLUGGER paper re-measures baselines), so the invariant
-        # it maintains is |P| + |C+| + |C−| <= |E|.
+        # it maintains is |P| + |C+| + |C−| <= |E|: superedges and C+ are
+        # the summary's p-edges, C− its n-edges.
         edges, n = gen.path(12), 12
         res = sweg(edges, n, T=3, seed=0, engine="local")
-        fs = res.flat
-        assert len(fs.p) + len(fs.cp) + len(fs.cn) <= len(edges)
-        _lossless(fs, edges)
+        assert len(res.summary.pedges) <= len(edges)
+        _lossless(res.summary, edges)
 
 
 class TestSags:
-    @pytest.mark.parametrize("dataset,digest", [
-        ("collab_cliques", "ae4ea9c0e0a04b73b03e2eb9976e287822954c4f797841e16f6bcf6b6a732b5b"),
-        ("ppi_like", "8c203b213abe104fcdf93810a9fa7a73cbbca0e5769bd72192496ccba5e51411"),
+    @pytest.mark.parametrize("dataset,want", [
+        ("collab_cliques", "1d3c9c7fe8dbd7d8b1d7cd99e8299145e630b40df2c920f2475fa6f8fc283f75"),
+        ("ppi_like", "b5eb902b7d4804caa8c4a7384d5d8e53210e5611dd8940e6cc29f3b0f0610733"),
     ], ids=["collab_cliques", "ppi_like"])
-    def test_golden(self, dataset, digest):
+    def test_golden(self, dataset, want):
         edges = datasets.load(dataset, scale="test", seed=0)
-        assert flat_digest(sags(edges, n_nodes(edges), seed=0).flat) == digest
+        assert digest(sags(edges, n_nodes(edges), seed=0).summary) == want
 
     @pytest.mark.parametrize("name,make", GRAPHS[:3], ids=[n for n, _ in GRAPHS[:3]])
     def test_lossless(self, name, make):
         edges, n = make()
         res = sags(edges, n, seed=0)
-        _lossless(res.flat, edges)
+        _lossless(res.summary, edges)
 
     def test_deterministic(self):
         edges, n = gen.clique(10), 10
         r1 = sags(edges, n, seed=4)
         r2 = sags(edges, n, seed=4)
-        assert (r1.flat.group == r2.flat.group).all()
+        assert digest(r1.summary) == digest(r2.summary)
 
-    def test_merges_identical_neighborhood_nodes(self):
-        # a clique gives every node the same signature; p=1 forces merging
+    def test_merges_identical_neighborhood_nodes(self, monkeypatch):
+        # a clique gives every node the same signature; P=1 forces merging
+        monkeypatch.setattr(sags_module, "P", 1.0)
         edges, n = gen.clique(10), 10
-        res = sags(edges, n, p=1.0, seed=0)
-        assert len(set(res.flat.group)) < 10
+        res = sags(edges, n, seed=0)
+        assert n_supernodes(res.summary) < 10
 
 
 class TestRandomized:
-    @pytest.mark.parametrize("dataset,digest", [
-        ("collab_cliques", "f73a6dc1eb511dfb7766366a73b18b0ed6d7c08a9921132dfaee181d5531ecda"),
-        ("ppi_like", "19371acb09556d1ebeb8c0acedf4929ed059e4cbc880da2a38500c4aeb308c42"),
+    @pytest.mark.parametrize("dataset,want", [
+        ("collab_cliques", "24e4110b1e1d85e8523f947a71527523c338d68f1641496af0a5143228399060"),
+        ("ppi_like", "d0e79ac53f19a403e800cc1171a6fbc655998ac84f4119df0894dea892544c3f"),
     ], ids=["collab_cliques", "ppi_like"])
-    def test_golden(self, dataset, digest):
+    def test_golden(self, dataset, want):
         edges = datasets.load(dataset, scale="test", seed=0)
-        assert flat_digest(randomized(edges, n_nodes(edges), seed=0).flat) == digest
+        assert digest(randomized(edges, n_nodes(edges), seed=0).summary) == want
 
     @pytest.mark.parametrize("name,make", GRAPHS[:3], ids=[n for n, _ in GRAPHS[:3]])
     def test_lossless(self, name, make):
         edges, n = make()
         res = randomized(edges, n, seed=0)
-        assert res.flat is not None
-        _lossless(res.flat, edges)
+        assert res.summary is not None
+        _lossless(res.summary, edges)
 
     def test_compresses_cliques_well(self):
         edges, n = gen.caveman_cliques(36, clique_size=6, p_rewire=0.0, seed=0), 36
         res = randomized(edges, n, seed=0)
-        assert res.flat.metrics(len(edges)).relative_size < 0.7
+        assert metrics(res.summary, len(edges)).relative_size < 0.7
 
     def test_oot_returns_none(self):
         edges, n = gen.caveman_cliques(60, clique_size=6, seed=0), 60
         res = randomized(edges, n, seed=0, time_limit_s=0.0)
-        assert res.flat is None
+        assert res.summary is None
 
 
 class TestMosso:
-    @pytest.mark.parametrize("dataset,digest", [
-        ("collab_cliques", "8498f2d82efdfdc1bdb4dfddb922cb03aa98b4101ebfab537850772fa8c60b06"),
-        ("ppi_like", "720016aa200062b48592a5c5ee3a2f08707ce0fdfbf3a2223a62e9312f563de3"),
+    @pytest.mark.parametrize("dataset,want", [
+        ("collab_cliques", "7f95e66b3fc1e9c35571ee345e003b83db6ce5265d87fff9527374eae3360e5a"),
+        ("ppi_like", "fe34d6f55248083010c6379f9699a9bea784080c274b484fe2aa5db2f999f225"),
     ], ids=["collab_cliques", "ppi_like"])
-    def test_golden(self, dataset, digest):
+    def test_golden(self, dataset, want):
         edges = datasets.load(dataset, scale="test", seed=0)
-        assert flat_digest(mosso(edges, n_nodes(edges), seed=0).flat) == digest
+        assert digest(mosso(edges, n_nodes(edges), seed=0).summary) == want
 
     @pytest.mark.parametrize("name,make", GRAPHS[:2], ids=[n for n, _ in GRAPHS[:2]])
     def test_lossless(self, name, make):
         edges, n = make()
         res = mosso(edges, n, seed=0)
-        assert res.flat is not None
-        _lossless(res.flat, edges)
+        assert res.summary is not None
+        _lossless(res.summary, edges)
 
     def test_oot_returns_none(self):
         edges, n = gen.er(60, 5.0, seed=0), 60
         res = mosso(edges, n, seed=0, time_limit_s=0.0)
-        assert res.flat is None
+        assert res.summary is None
 
     def test_groups_clique_nodes(self):
         edges, n = gen.clique(10), 10
         res = mosso(edges, n, seed=1)
-        assert len(set(res.flat.group)) < 10
+        assert n_supernodes(res.summary) < 10
 
 
 class TestOrdering:
@@ -188,18 +187,32 @@ class TestOrdering:
 
     def test_slugger_beats_sweg_beats_sags_on_hierarchical(self):
         from repro.core.slugger import slugger
-        from repro.model.cost import metrics
 
         edges = gen.nested_partition(90, levels=2, branching=3, p_top=0.05, ratio=9, seed=0)
         n = 90
         sl = slugger(edges, n, T=6, seed=0, engine="local")
         rel_sl = metrics(sl.summary, len(edges)).relative_size
         sw = sweg(edges, n, T=6, seed=0, engine="local")
-        rel_sw = sw.flat.metrics(len(edges)).relative_size
+        rel_sw = metrics(sw.summary, len(edges)).relative_size
         sa = sags(edges, n, seed=0)
-        rel_sa = sa.flat.metrics(len(edges)).relative_size
+        rel_sa = metrics(sa.summary, len(edges)).relative_size
         assert rel_sl <= rel_sw + 0.02
         assert rel_sw <= rel_sa + 0.02
+
+
+@pytest.mark.parametrize("run", [lambda e, n: sweg(e, n, T=5, seed=0),
+                                 lambda e, n: sags(e, n, seed=0)], ids=["sweg", "sags"])
+def test_spark_decode_and_neighbors_give_back_input(spark, run):
+    # the hierarchical readers serve a height-1 summary: the Spark decode
+    # matches DuckDB's copy of the input, and Algorithm 4 every adjacency
+    edges = datasets.load("collab_cliques", scale="test", seed=0)
+    n = n_nodes(edges)
+    summary = run(edges, n).summary
+    assert len(summary.hedges) and (summary.pedges["sign"] == -1).any()
+    assert_equivalent(decode(spark, summary),
+                      "SELECT least(src, dst) AS src, greatest(src, dst) AS dst FROM e", e=edges)
+    idx, adj = NeighborIndex(summary), adjacency_dict(edges)
+    assert [idx.neighbors(v) for v in range(n)] == [sorted(adj.get(v, ())) for v in range(n)]
 
 
 @pytest.mark.parametrize("run", [sweg, sags, randomized, mosso],

@@ -1,4 +1,5 @@
-"""Flat (Navlakha) model + optimal flat encoder tests."""
+"""Flat (Navlakha) model + optimal flat encoder tests. The encoder writes
+a height-1 ``HierSummary``, read here through the flat model's tables."""
 import duckdb
 import numpy as np
 import pandas as pd
@@ -7,34 +8,50 @@ import pytest
 from repro.baselines.flat_encode import encode_flat
 from repro.graphs import generators as gen
 from repro.graphs.ops import canonicalize_pd
-from repro.model.flat import FlatSummary, decode_flat_pd, pair_cost
+from repro.model.cost import metrics
+from repro.model.decode import assert_lossless_pd
+from repro.model.flat import pair_cost
 from repro.oracle import assert_equivalent
 
 
-def _lossless(fs: FlatSummary, edges: pd.DataFrame):
-    got = decode_flat_pd(fs).sort_values(["src", "dst"]).reset_index(drop=True)
-    want = edges.sort_values(["src", "dst"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
+def _lossless(summary, edges: pd.DataFrame):
+    summary.validate()
+    assert_lossless_pd(summary, edges)
+
+
+def flat_tables(summary) -> tuple[pd.DataFrame, pd.DataFrame, pd.DataFrame]:
+    """(P, C+, C−) of a height-1 summary: the superedges are the p-edges
+    with an internal endpoint, C+ the p-edges between subnodes and C− the
+    n-edges."""
+    pe = summary.pedges
+    pos = pe["sign"] == 1
+    internal = (pe["x"] >= summary.n_sub) | (pe["y"] >= summary.n_sub)
+    return pe[pos & internal], pe[pos & ~internal], pe[~pos]
 
 
 class TestEncodeFlat:
     def test_trivial_partition_is_identity(self):
         e = gen.er(40, 4.0, seed=0)
         fs = encode_flat(e, np.arange(40, dtype=np.int64))
-        assert len(fs.p) == 0 and len(fs.cn) == 0 and len(fs.cp) == len(e)
+        p, cp, cn = flat_tables(fs)
+        assert len(p) == 0 and len(cn) == 0 and len(cp) == len(e)
+        assert len(fs.hedges) == 0 and len(fs.nodes) == 40
         _lossless(fs, e)
 
     def test_clique_collapses_to_self_loop(self):
         e = gen.clique(8)
         fs = encode_flat(e, np.zeros(8, dtype=np.int64))
-        assert len(fs.p) == 1 and fs.p.iloc[0].tolist() == [0, 0]
-        assert len(fs.cp) == 0 and len(fs.cn) == 0
+        p, cp, cn = flat_tables(fs)
+        # the one group of 8 is supernode 8 (n_sub + rank 0)
+        assert len(p) == 1 and p.iloc[0].tolist() == [8, 8, 1]
+        assert len(cp) == 0 and len(cn) == 0
         _lossless(fs, e)
 
     def test_near_clique_uses_negative_corrections(self):
         e = gen.clique(8).iloc[2:].reset_index(drop=True)  # drop 2 edges
         fs = encode_flat(e, np.zeros(8, dtype=np.int64))
-        assert len(fs.p) == 1 and len(fs.cn) == 2 and len(fs.cp) == 0
+        p, cp, cn = flat_tables(fs)
+        assert len(p) == 1 and len(cn) == 2 and len(cp) == 0
         _lossless(fs, e)
 
     def test_sparse_pair_uses_positive_corrections(self):
@@ -42,7 +59,8 @@ class TestEncodeFlat:
         e = pd.DataFrame({"src": [0], "dst": [5]})
         group = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
         fs = encode_flat(e, group)
-        assert len(fs.p) == 0 and len(fs.cp) == 1
+        p, cp, _ = flat_tables(fs)
+        assert len(p) == 0 and len(cp) == 1
         _lossless(fs, e)
 
     def test_bipartite_superedge(self):
@@ -52,7 +70,9 @@ class TestEncodeFlat:
         )
         group = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
         fs = encode_flat(e, group)
-        assert len(fs.p) == 1 and len(fs.cp) == 0 and len(fs.cn) == 0
+        p, cp, cn = flat_tables(fs)
+        assert p[["x", "y"]].values.tolist() == [[6, 7]]
+        assert len(cp) == 0 and len(cn) == 0
         _lossless(fs, e)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -63,8 +83,9 @@ class TestEncodeFlat:
 
     def test_pair_counts_match_duckdb(self):
         # DuckDB counts E_AB per group pair; P must be exactly the pairs
-        # whose pair_cost is below E_AB, i.e. where the superedge wins, and
-        # the encoding's size must be the sum of pair_cost over all pairs.
+        # whose pair_cost is below E_AB, i.e. where the superedge wins,
+        # written between the groups' supernodes 30 + rank, and the
+        # encoding's size must be the sum of pair_cost over all pairs.
         # Planted blocks of 6 with sparse ids, dense inside and between the
         # first two, edges written in both orientations.
         rng = np.random.default_rng(5)
@@ -90,10 +111,17 @@ class TestEncodeFlat:
         counts["cost"] = [pair_cost(n, size[x], size[y], x == y)
                           for x, y, n in zip(counts["gx"], counts["gy"], counts["e_ab"])]
         fs = encode_flat(e, g)
-        assert_equivalent(fs.p, "SELECT gx AS x, gy AS y FROM counts WHERE cost < e_ab",
-                          counts=counts)
-        assert len(fs.p) == 6 and len(fs.cp) and len(fs.cn)
-        assert len(fs.p) + len(fs.cp) + len(fs.cn) == counts["cost"].sum()
+        p, cp, cn = flat_tables(fs)
+        # every group has 6 members, so each is a supernode
+        assert_equivalent(
+            p[["x", "y"]],
+            "WITH sup AS (SELECT g, 29 + row_number() OVER (ORDER BY g) AS s "
+            "FROM (SELECT DISTINCT g FROM gm)) "
+            "SELECT a.s AS x, b.s AS y FROM counts "
+            "JOIN sup a ON gx = a.g JOIN sup b ON gy = b.g WHERE cost < e_ab",
+            counts=counts, gm=gm)
+        assert len(p) == 6 and len(cp) and len(cn)
+        assert len(fs.pedges) == counts["cost"].sum()
         _lossless(fs, canonicalize_pd(e))
 
 
@@ -102,16 +130,18 @@ class TestFlatMetrics:
         e = gen.clique(6)
         group = np.array([0, 0, 0, 1, 2, 3], dtype=np.int64)
         fs = encode_flat(e, group)
-        assert fs.h_star() == 3
+        # group 0 is supernode 6 over its members; singletons stay roots
+        assert fs.hedges.values.tolist() == [[6, 0], [6, 1], [6, 2]]
+        assert metrics(fs, len(e)).n_h == 3
 
     def test_eq11_identity_is_m_over_m(self):
         e = gen.er(30, 4.0, seed=2)
         fs = encode_flat(e, np.arange(30, dtype=np.int64))
-        assert abs(fs.metrics(len(e)).relative_size - 1.0) < 1e-12
+        assert abs(metrics(fs, len(e)).relative_size - 1.0) < 1e-12
 
     def test_unified_metrics_bundle(self):
         e = gen.clique(8)
         fs = encode_flat(e, np.zeros(8, dtype=np.int64))
-        m = fs.metrics(len(e))
+        m = metrics(fs, len(e))
         assert m.n_h == 8 and m.max_height == 1 and m.avg_leaf_depth == 1.0
         assert abs(m.relative_size - 9 / 28) < 1e-12
