@@ -12,11 +12,11 @@ from benchmarks._util import persist, run_once
 
 
 @pytest.mark.benchmark(group="fig5")
-def test_fig5_compactness(benchmark, spark):
+def test_fig5_compactness(benchmark):
     df = run_once(
         benchmark,
         lambda: fig5_compactness(
-            spark, scale="bench", T=20, seed=0, engine="local", time_limit_s=120.0
+            scale="bench", T=20, seed=0, engine="local", time_limit_s=120.0
         ),
     )
     persist(df, "fig5_compactness")

@@ -13,7 +13,7 @@ from benchmarks._util import persist
 
 
 @pytest.mark.benchmark(group="neighbors")
-def test_neighbor_retrieval_latency(benchmark, spark):
+def test_neighbor_retrieval_latency(benchmark):
     edges, n = load_dataset("ppi_like", "bench", 0)
     res = slugger(edges, n, T=10, seed=0, engine="local")
     idx = NeighborIndex(res.summary)

@@ -7,11 +7,11 @@ from benchmarks._util import persist, run_once
 
 
 @pytest.mark.benchmark(group="scalability")
-def test_scalability_linear(benchmark, spark):
+def test_scalability_linear(benchmark):
     df = run_once(
         benchmark,
         lambda: scalability(
-            spark, base_n=4000, fracs=(0.125, 0.25, 0.5, 1.0), T=5,
+            base_n=4000, fracs=(0.125, 0.25, 0.5, 1.0), T=5,
             seed=0, engine="local",
         ),
     )

@@ -9,11 +9,11 @@ NAMES = ["ppi_like", "collab_cliques", "social_cl"]
 
 
 @pytest.mark.benchmark(group="table3")
-def test_table3_iterations(benchmark, spark):
+def test_table3_iterations(benchmark):
     df = run_once(
         benchmark,
         lambda: table3_iterations(
-            spark, scale="bench", names=NAMES, Ts=(1, 5, 10, 20, 40),
+            scale="bench", names=NAMES, Ts=(1, 5, 10, 20, 40),
             seed=0, engine="local",
         ),
     )

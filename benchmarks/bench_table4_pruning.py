@@ -9,11 +9,11 @@ NAMES = ["ppi_like", "web_hier", "collab_cliques", "social_cl"]
 
 
 @pytest.mark.benchmark(group="table4")
-def test_table4_pruning(benchmark, spark):
+def test_table4_pruning(benchmark):
     df = run_once(
         benchmark,
         lambda: table4_pruning(
-            spark, scale="bench", names=NAMES, T=20, seed=0, engine="local"
+            scale="bench", names=NAMES, T=20, seed=0, engine="local"
         ),
     )
     persist(df, "table4_pruning")

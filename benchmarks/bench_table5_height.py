@@ -9,11 +9,11 @@ NAMES = ["ppi_like", "collab_cliques", "social_cl"]
 
 
 @pytest.mark.benchmark(group="table5")
-def test_table5_height(benchmark, spark):
+def test_table5_height(benchmark):
     df = run_once(
         benchmark,
         lambda: table5_height(
-            spark, scale="bench", names=NAMES, hbs=(2, 5, 7, 10, 0),
+            scale="bench", names=NAMES, hbs=(2, 5, 7, 10, 0),
             T=20, seed=0, engine="local",
         ),
     )

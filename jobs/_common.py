@@ -1,12 +1,23 @@
-"""Shared spark-submit plumbing for the experiment jobs."""
+"""Shared plumbing for the experiment jobs: the argument parser, a Spark
+session for ``--engine spark`` only, and table printing."""
+from __future__ import annotations
+
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from pyspark.sql import SparkSession
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
-def session(app: str) -> SparkSession:
+def session(app: str, engine: str) -> SparkSession | None:
+    """A Spark session for ``engine="spark"``; None for the local engine,
+    which then starts no JVM and imports no pyspark."""
+    if engine != "spark":
+        return None
+    from pyspark.sql import SparkSession
+
     return (
         SparkSession.builder.appName(app)
         .config(

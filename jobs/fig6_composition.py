@@ -1,4 +1,5 @@
-"""spark-submit entrypoint for Fig. 6 (p/n/h edge composition)."""
+"""Job for Fig. 6 (p/n/h edge composition). Runs in-process;
+``--engine spark`` starts a Spark session."""
 from _common import base_parser, emit, session
 
 from repro.eval.tables import fig6_composition
@@ -6,10 +7,9 @@ from repro.eval.tables import fig6_composition
 
 def main() -> None:
     args = base_parser("Fig 6: output composition").parse_args()
-    spark = session("fig6")
     df = fig6_composition(
-        spark, scale=args.scale, names=args.datasets, T=args.T, seed=args.seed,
-        engine=args.engine,
+        scale=args.scale, names=args.datasets, T=args.T, seed=args.seed,
+        engine=args.engine, spark=session("fig6", args.engine),
     )
     emit(df)
 

@@ -1,4 +1,5 @@
-"""spark-submit entrypoint for Fig. 1(b) (linear scalability)."""
+"""Job for Fig. 1(b) (linear scalability). Runs in-process;
+``--engine spark`` starts a Spark session."""
 from _common import base_parser, emit, session
 
 from repro.eval.tables import scalability
@@ -8,8 +9,10 @@ def main() -> None:
     p = base_parser("Fig 1(b): runtime vs |E|")
     p.add_argument("--base-n", type=int, default=4000)
     args = p.parse_args()
-    spark = session("scalability")
-    df = scalability(spark, base_n=args.base_n, T=5, seed=args.seed, engine=args.engine)
+    df = scalability(
+        base_n=args.base_n, T=5, seed=args.seed, engine=args.engine,
+        spark=session("scalability", args.engine),
+    )
     emit(
         df,
         f"linear fit: slope={df.attrs['slope_s_per_edge']:.2e} s/edge, "

@@ -1,4 +1,5 @@
-"""spark-submit entrypoint for Table III (effect of the iteration count T)."""
+"""Job for Table III (effect of the iteration count T). Runs in-process;
+``--engine spark`` starts a Spark session."""
 from _common import base_parser, emit, session
 
 from repro.eval.tables import table3_iterations
@@ -8,10 +9,9 @@ def main() -> None:
     p = base_parser("Table III: relative size vs T")
     p.add_argument("--Ts", nargs="*", type=int, default=[1, 5, 10, 20, 40])
     args = p.parse_args()
-    spark = session("table3")
     df = table3_iterations(
-        spark, scale=args.scale, names=args.datasets, Ts=tuple(args.Ts),
-        seed=args.seed, engine=args.engine,
+        scale=args.scale, names=args.datasets, Ts=tuple(args.Ts),
+        seed=args.seed, engine=args.engine, spark=session("table3", args.engine),
     )
     emit(df.pivot(index="dataset", columns="T", values="relative_size").reset_index())
 

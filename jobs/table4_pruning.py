@@ -1,4 +1,5 @@
-"""spark-submit entrypoint for Table IV (pruning substep effectiveness)."""
+"""Job for Table IV (pruning substep effectiveness). Runs in-process;
+``--engine spark`` starts a Spark session."""
 from _common import base_parser, emit, session
 
 from repro.eval.tables import table4_pruning
@@ -6,10 +7,9 @@ from repro.eval.tables import table4_pruning
 
 def main() -> None:
     args = base_parser("Table IV: metrics after each pruning substep").parse_args()
-    spark = session("table4")
     df = table4_pruning(
-        spark, scale=args.scale, names=args.datasets, T=args.T, seed=args.seed,
-        engine=args.engine,
+        scale=args.scale, names=args.datasets, T=args.T, seed=args.seed,
+        engine=args.engine, spark=session("table4", args.engine),
     )
     emit(df)
 

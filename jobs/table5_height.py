@@ -1,4 +1,5 @@
-"""spark-submit entrypoint for Table V (height-bound variant H_b)."""
+"""Job for Table V (height-bound variant H_b). Runs in-process;
+``--engine spark`` starts a Spark session."""
 from _common import base_parser, emit, session
 
 from repro.eval.tables import table5_height
@@ -8,10 +9,10 @@ def main() -> None:
     p = base_parser("Table V: avg leaf depth & relative size vs H_b")
     p.add_argument("--hbs", nargs="*", type=int, default=[2, 5, 7, 10, 0])
     args = p.parse_args()
-    spark = session("table5")
     df = table5_height(
-        spark, scale=args.scale, names=args.datasets, hbs=tuple(args.hbs),
+        scale=args.scale, names=args.datasets, hbs=tuple(args.hbs),
         T=args.T, seed=args.seed, engine=args.engine,
+        spark=session("table5", args.engine),
     )
     emit(df)
 

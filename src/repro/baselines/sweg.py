@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import random
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..core import candidates
 from ..graphs.ops import check_edges
 from ..model.flat import merged_counts, supernode_cost
 from ..model.summary import SummaryResult
 from .flat_encode import encode_flat
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 class _SwegGroup:

@@ -15,13 +15,15 @@ SLUGGER and SWEG share it; the Spark decoder uses ``map_bundles`` too.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .hashing import shingles_np
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 MAX_LEVELS = 4
 MAX_SIZE = 500

@@ -24,16 +24,19 @@ enables the Table-V height-bound variant.
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..graphs.ops import check_edges
 from ..model.summary import Forest, SummaryResult
 from . import candidates, groupmerge
 from .consolidate import consolidate
 from .pruning import prune
+
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
 
 
 def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], leaf_root: np.ndarray,

@@ -5,11 +5,15 @@ baselines' has height-1 trees, whose Eq. 10 size is their Eq. 11), so
 every record comes from the same :func:`repro.model.cost.metrics` and the
 table builders in :mod:`repro.eval.tables` can mix them. ``None``-valued
 metrics mark OOT runs (the paper reports those as missing bars).
+The keywords ``engine="local"`` and ``spark=None`` mean what they mean in
+``slugger`` and ``sweg``: only ``engine="spark"`` reads the session, and
+the other methods ignore both.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..baselines.mosso import mosso
 from ..baselines.randomized import randomized
@@ -20,6 +24,9 @@ from ..graphs import datasets
 from ..graphs.generators import n_nodes
 from ..model.cost import metrics
 
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
+
 METHODS = ["slugger", "sweg", "sags", "randomized", "mosso"]
 
 
@@ -29,7 +36,6 @@ def load_dataset(name: str, scale: str, seed: int) -> tuple[pd.DataFrame, int]:
 
 
 def run_method(
-    spark: SparkSession | None,
     method: str,
     edges: pd.DataFrame,
     n_sub: int,
@@ -37,6 +43,7 @@ def run_method(
     seed: int = 0,
     T: int = 20,
     engine: str = "local",
+    spark: SparkSession | None = None,
     time_limit_s: float = 600.0,
 ) -> dict:
     """Run one summarizer; returns {method, relative_size, elapsed_s, ...}."""

@@ -2,15 +2,17 @@
 
 Each returns a tidy pandas DataFrame with one row per table cell group;
 jobs print them, benchmarks persist them, and EXPERIMENTS.md quotes them
-next to the paper's numbers.
+next to the paper's numbers. Every builder takes the keyword pair
+``engine="local"``/``spark=None`` of :func:`repro.eval.harness.run_method`;
+only ``engine="spark"`` needs a session.
 """
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..core.pruning import prune
 from ..core.slugger import slugger
@@ -20,11 +22,13 @@ from ..graphs.generators import n_nodes
 from ..model.cost import metrics
 from .harness import load_dataset, run_method
 
+if TYPE_CHECKING:
+    from pyspark.sql import SparkSession
+
 DEFAULT_DATASETS = datasets.DATASET_ORDER
 
 
 def fig5_compactness(
-    spark: SparkSession | None,
     *,
     scale: str = "bench",
     names: list[str] | None = None,
@@ -32,6 +36,7 @@ def fig5_compactness(
     T: int = 20,
     seed: int = 0,
     engine: str = "local",
+    spark: SparkSession | None = None,
     time_limit_s: float = 300.0,
 ) -> pd.DataFrame:
     """Fig. 5(a)+(b): relative size (Eq. 10/11) and runtime per method."""
@@ -42,7 +47,7 @@ def fig5_compactness(
         edges, n = load_dataset(name, scale, seed)
         for method in methods:
             rec = run_method(
-                spark, method, edges, n, seed=seed, T=T, engine=engine,
+                method, edges, n, seed=seed, T=T, engine=engine, spark=spark,
                 time_limit_s=time_limit_s,
             )
             rows.append(
@@ -53,13 +58,13 @@ def fig5_compactness(
 
 
 def table3_iterations(
-    spark: SparkSession | None,
     *,
     scale: str = "bench",
     names: list[str] | None = None,
     Ts: tuple[int, ...] = (1, 5, 10, 20, 40),
     seed: int = 0,
     engine: str = "local",
+    spark: SparkSession | None = None,
 ) -> pd.DataFrame:
     """Table III: SLUGGER's relative size as T grows (one run per T, as in
     the paper: θ(T)=0 on the final round, so the state of a longer run
@@ -79,13 +84,13 @@ def table3_iterations(
 
 
 def table4_pruning(
-    spark: SparkSession | None,
     *,
     scale: str = "bench",
     names: list[str] | None = None,
     T: int = 20,
     seed: int = 0,
     engine: str = "local",
+    spark: SparkSession | None = None,
 ) -> pd.DataFrame:
     """Table IV: relative size / max height / avg leaf depth after each
     pruning substep (stage 0 = unpruned)."""
@@ -105,7 +110,6 @@ def table4_pruning(
 
 
 def table5_height(
-    spark: SparkSession | None,
     *,
     scale: str = "bench",
     names: list[str] | None = None,
@@ -113,6 +117,7 @@ def table5_height(
     T: int = 20,
     seed: int = 0,
     engine: str = "local",
+    spark: SparkSession | None = None,
 ) -> pd.DataFrame:
     """Table V: height-bounded variant — avg leaf depth & relative size."""
     names = names or DEFAULT_DATASETS
@@ -131,13 +136,13 @@ def table5_height(
 
 
 def fig6_composition(
-    spark: SparkSession | None,
     *,
     scale: str = "bench",
     names: list[str] | None = None,
     T: int = 20,
     seed: int = 0,
     engine: str = "local",
+    spark: SparkSession | None = None,
 ) -> pd.DataFrame:
     """Fig. 6: proportions of p-, n-, and h-edges in SLUGGER's outputs."""
     names = names or DEFAULT_DATASETS
@@ -154,13 +159,13 @@ def fig6_composition(
 
 
 def scalability(
-    spark: SparkSession | None,
     *,
     base_n: int = 4000,
     fracs: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0),
     T: int = 5,
     seed: int = 0,
     engine: str = "local",
+    spark: SparkSession | None = None,
 ) -> pd.DataFrame:
     """Fig. 1(b): runtime vs |E| on node-sampled subgraphs of one large
     hierarchical graph (the paper samples nodes from UK-05)."""

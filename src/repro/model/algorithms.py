@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from .neighbors import NeighborIndex
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 
 def bfs(idx: NeighborIndex, source: int) -> dict[int, int]:
@@ -84,6 +86,8 @@ def pagerank_spark(
     iteration, one job joins the broadcast ranks to the edges and sums each
     node's incoming shares; the teleport term and the total are added in
     numpy, as in :func:`pagerank_on_summary`."""
+    from pyspark.sql import functions as F
+
     sym = edges.select(F.col("src").alias("u"), F.col("dst").alias("v")).unionByName(
         edges.select(F.col("dst").alias("u"), F.col("src").alias("v"))
     )

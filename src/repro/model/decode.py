@@ -26,13 +26,16 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from ..core.candidates import map_bundles
 from .summary import Forest, HierSummary, canon, checked_pedges
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 
 def tree_pair_rows(
