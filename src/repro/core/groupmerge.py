@@ -22,12 +22,13 @@ weighted by those sets' sizes. Saving(A, z) is the memoized Case-1 effect
 side's bucket for the other's root (those edges are Case 1), with the
 roots C both sides touch re-scored on A's bucket followed by z's: once per
 (A's shape, z's shape) pair whose root sets meet, times the size of their
-intersection. A merge
-solves the per-C buckets to apply them, drops the scans of A and B, and
-patches the scans of every C it touched: their buckets for A and B give
-way to one for the new root, its entries in the order a fresh scan meets
-them, by (panel index, edge stamp). No other scan can see the edges or
-trees it changes (DESIGN.md §3.1).
+intersection. A scan keeps its inner edges and every bucket sorted, so it
+is a function of the edges and trees alone, not of the order the edges
+were added in; no score or merge depends on that order (DESIGN.md §3.1).
+A merge solves the per-C buckets to apply them, drops the scans of A and
+B, and patches the scans of every C it touched: their buckets for A and B
+give way to one sorted bucket for the new root. No other scan can see the
+edges or trees it changes.
 
 Groups are independent. Worker I/O is plain tuples: :func:`run_group`
 takes one group's bundle (see :data:`Bundle`) and returns the group's
@@ -39,7 +40,6 @@ pickled bundles (DESIGN.md §3.2).
 """
 from __future__ import annotations
 
-import itertools
 import random
 from collections import defaultdict
 
@@ -67,22 +67,21 @@ _C_TO_B = {L.C: L.B, L.C0: L.B0, L.C1: L.B1}
 
 class _Side:
     """One root's side scan in one role: its panel S̄_root (labels, real
-    ids, atom count, singleton flags per atom), the p/n-edges inside it, its
-    Case-2 buckets, the (panel index, edge stamp) of each bucket's first
-    entry, the shape id of each bucket and the set of roots C per shape,
-    the root's external (supernode, sign) pairs, and, per partner atom
-    count, the one-sided Case-2 effect of each shape and their sum over the
-    roots C."""
+    ids, atom count, singleton flags per atom), the p/n-edges inside it and
+    its Case-2 buckets (each a sorted tuple of labelled edges), the shape
+    id of each bucket and the set of roots C per shape, the root's external
+    (supernode, sign) pairs, and, per partner atom count, the one-sided
+    Case-2 effect of each shape and their sum over the roots C."""
 
-    __slots__ = ("labels", "reals", "n", "flags", "inner", "buckets", "first", "sids",
+    __slots__ = ("labels", "reals", "n", "flags", "inner", "buckets", "sids",
                  "shapes", "ext", "effects")
 
     def __init__(self, labels: tuple[int, ...], reals: tuple[int, ...],
                  flags: tuple[bool, ...], inner: tuple, buckets: dict[int, tuple],
-                 first: dict[int, tuple[int, int]], sids: dict[int, int],
-                 shapes: dict[int, set[int]], ext: frozenset[tuple[int, int]]):
+                 sids: dict[int, int], shapes: dict[int, set[int]],
+                 ext: frozenset[tuple[int, int]]):
         self.labels, self.reals, self.flags = labels, reals, flags
-        self.inner, self.buckets, self.first = inner, buckets, first
+        self.inner, self.buckets = inner, buckets
         self.sids, self.shapes, self.ext = sids, shapes, ext
         self.n = len(flags)
         self.effects: dict[int, tuple[dict[int, tuple], tuple[int, int, int, int]]] = {}
@@ -134,11 +133,6 @@ class GroupWorker:
             self.height[r], self.hcount[r], self.zero_internal[r] = height, hcount, internal
         # --- p/n-edges (intra-group) ---
         self.edges = SignedEdges()
-        # every edge's place in the order of adds: adjacency lists only
-        # lose entries or gain them at the end, so (panel index, stamp)
-        # is the order a side scan meets its edges in
-        self._stamp: dict[tuple[int, int], int] = {}
-        self._clock = itertools.count()
         self.pmap: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
         self.inc: dict[int, int] = defaultdict(int)
         for x, y, s in pedges:
@@ -198,12 +192,10 @@ class GroupWorker:
 
     def _add_edge(self, x: int, y: int, s: int) -> None:
         self.edges.add(x, y, s)
-        self._stamp[canon(x, y)] = next(self._clock)
         self._count_edge(x, y, 1)
 
     def _remove_edge(self, x: int, y: int) -> None:
         self.edges.remove(x, y)
-        del self._stamp[canon(x, y)]
         self._count_edge(x, y, -1)
 
     def _count_edge(self, x: int, y: int, d: int) -> None:
@@ -237,8 +229,8 @@ class GroupWorker:
     def _scan(self, root: int, role: int) -> _Side:
         """S̄_root, its inner edges and its Case-2 buckets, found in one pass
         over the panel's adjacency: root C -> ((panel label, C-side label,
-        sign), ...) for every p/n-edge between S̄_root and S̄_C. Edges to
-        deeper nodes of C's tree are out of scope."""
+        sign), ...) for every p/n-edge between S̄_root and S̄_C, sorted.
+        Edges to deeper nodes of C's tree are out of scope."""
         base, c0, c1 = _ROLE_LABELS[role]
         f = self.forest
         roots, parent, children, size = self.roots, f.parent, f.children, f.size
@@ -250,8 +242,7 @@ class GroupWorker:
         else:
             labels, reals, flags = (base,), (root,), (size[root] == 1,)
         inner = []
-        buckets: dict[int, list[tuple[int, int, int]]] = {}
-        first: dict[int, tuple[int, int]] = {}
+        buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
         for i, (x, lx) in enumerate(zip(reals, labels)):
             for y, s in self.edges.incident(x).items():
                 if y in reals:
@@ -266,19 +257,15 @@ class GroupWorker:
                     if c not in roots:
                         continue
                     lc = L.C0 if children[c][0] == y else L.C1
-                es = buckets.get(c)
-                if es is None:
-                    es = buckets[c] = []
-                    first[c] = (i, self._stamp[canon(x, y)])
-                es.append((lx, lc, s))
+                buckets[c].append((lx, lc, s))
         frozen: dict[int, tuple] = {}
         sids: dict[int, int] = {}
         shapes: dict[int, set[int]] = defaultdict(set)
         for c, es in buckets.items():
-            frozen[c] = es = tuple(es)
+            frozen[c] = es = tuple(sorted(es))
             sids[c] = sid = self._intern(2 if children.get(c) else 1, es)
             shapes[sid].add(c)
-        return _Side(labels, reals, flags, tuple(inner), frozen, first, sids, shapes,
+        return _Side(labels, reals, flags, tuple(sorted(inner)), frozen, sids, shapes,
                      frozenset(self.ext_adj.get(root, {}).items()))
 
     def _intern(self, nc: int, bucket: tuple) -> int:
@@ -297,29 +284,25 @@ class GroupWorker:
         panels of ``a`` and ``b``, and made ``u`` a root with children
         ``a`` and ``b``: so C's buckets for ``a`` and ``b`` go, and its
         bucket for ``u`` holds C's edges to ``u`` (label C), ``a`` (C0)
-        and ``b`` (C1) in (panel index, stamp) order, the order a fresh
-        scan meets them in. Edges to deeper nodes of ``u``'s tree are out
-        of scope. The effects are dropped and recomputed on next use, as a
-        fresh scan's would be."""
+        and ``b`` (C1), sorted as a fresh scan's are. Edges to deeper nodes
+        of ``u``'s tree are out of scope. The effects are dropped and
+        recomputed on next use, as a fresh scan's would be."""
         for r in (a, b):
             if side.buckets.pop(r, None) is not None:
-                del side.first[r]
                 sid = side.sids.pop(r)
                 cs = side.shapes[sid]
                 cs.discard(r)
                 if not cs:
                     del side.shapes[sid]
         found = []
-        for i, x in enumerate(side.reals):
+        for x, lx in zip(side.reals, side.labels):
             nbrs = self.edges.incident(x)
             for y, lc in ((u, L.C), (a, L.C0), (b, L.C1)):
                 s = nbrs.get(y)
                 if s is not None:
-                    found.append(((i, self._stamp[canon(x, y)]), (side.labels[i], lc, s)))
+                    found.append((lx, lc, s))
         if found:
-            found.sort()
-            side.buckets[u] = bucket = tuple(e for _, e in found)
-            side.first[u] = found[0][0]
+            side.buckets[u] = bucket = tuple(sorted(found))
             side.sids[u] = sid = self._intern(2, bucket)
             side.shapes[sid].add(u)
         side.effects.clear()
@@ -419,10 +402,9 @@ class GroupWorker:
         sa, sb = self._side(a, 0), self._side(b, 1)
         na, nb = sa.n, sb.n
         removal = _case1_removal(sa, sb, b)
-        # the roots C in a fresh scan's bucket order: A's first, then z's
-        c_roots = sorted((c for c in sa.buckets if c != b), key=sa.first.__getitem__)
-        c_roots += sorted((c for c in sb.buckets if c != a and c not in sa.buckets),
-                          key=sb.first.__getitem__)
+        # the roots C beside the panel: their Case-2 plans touch disjoint
+        # edges, so the order they are applied in changes no edge
+        c_roots = sorted((sa.buckets.keys() | sb.buckets.keys()) - {a, b})
         case2_plan = []
         for c_root in c_roots:
             removal2 = sa.buckets.get(c_root, ()) + sb.buckets.get(c_root, ())

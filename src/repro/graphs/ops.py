@@ -36,11 +36,6 @@ def check_edges(edges: pd.DataFrame, n_sub: int) -> None:
         raise ValueError("duplicate edge (in either orientation)")
 
 
-def edge_key(edges: pd.DataFrame, n: int) -> np.ndarray:
-    """Sorted int64 keys src*n+dst — O(1) membership via np.isin/searchsorted."""
-    return np.sort(edges["src"].to_numpy(dtype=np.int64) * n + edges["dst"].to_numpy())
-
-
 def induced_subgraph(edges: pd.DataFrame, nodes: np.ndarray) -> pd.DataFrame:
     """Subgraph induced by ``nodes``, relabeled to 0..len(nodes)-1."""
     nodes = np.asarray(sorted(set(nodes.tolist())))

@@ -15,8 +15,10 @@ on its own in one map-only ``mapInPandas`` stage: all edges covering a
 pair sit in that pair's row, and two rows never produce the same pair,
 so no join, no aggregation across rows and no shuffle is needed. The
 result is lazy; its {0, 1} check runs in the workers and fires when the
-caller runs an action. ``decode_pd`` is the pandas twin used by fast
-unit tests. Both read the member lists of the summary's
+caller runs an action. ``decode_pd`` is its pandas twin: the decoder
+of the local engine (the one ``perfbench`` times as ``decode_s``), the
+reference ``perfbench`` checks the Spark decode against, and the decoder
+of the fast unit tests. Both read the member lists of the summary's
 :class:`repro.model.summary.Forest` (``members()``), reject an edge to a
 supernode with no subnode through the same ``checked_pedges``, and expand
 and sum the edges in their own way; the tests and the benchmark check each
@@ -101,7 +103,8 @@ def decode(spark: SparkSession, summary: HierSummary) -> DataFrame:
 
 
 def decode_pd(summary: HierSummary) -> pd.DataFrame:
-    """Pandas twin of ``decode`` for small graphs (unit tests, Alg-4 oracle).
+    """Pandas twin of ``decode``: the local engine's decoder, the reference
+    the Spark decode is checked against and the unit tests' oracle.
     Raises ValueError, as ``decode`` does, if an edge names an unknown id or
     a supernode that contains no subnode, and AssertionError on a self-pair
     or a net outside {0, 1}."""

@@ -35,7 +35,11 @@ class NeighborIndex:
                 self.inc[y].append((x, s))
 
     def neighbors(self, v: int) -> list[int]:
-        """One-hop neighbors of subnode v in the decoded graph (Alg. 4)."""
+        """One-hop neighbors of subnode v in the decoded graph (Alg. 4).
+        Raises ValueError unless ``0 <= v < n_sub``: a supernode id or an
+        id outside the graph names no subnode."""
+        if not 0 <= v < self.summary.n_sub:
+            raise ValueError(f"{v} is not a subnode id in [0, n_sub={self.summary.n_sub})")
         count: dict[int, int] = defaultdict(int)
         node = v
         chain = []

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import groupmerge as gm
 from repro.core import localenc as L
@@ -322,12 +324,10 @@ FIRST_MERGES = {"zero_target": [(1, 2)]}
 
 def assert_scan_is_fresh(w, root, role):
     """The cached scan of (root, role) equals a fresh ``_scan``, field by
-    field; buckets in the order of their first entries."""
+    field."""
     got, want = w._sides[(root, role)], w._scan(root, role)
     assert (got.labels, got.reals, got.flags) == (want.labels, want.reals, want.flags)
     assert got.inner == want.inner
-    assert sorted(got.buckets, key=got.first.__getitem__) == list(want.buckets)
-    assert got.first == want.first
     assert got.buckets == want.buckets
     assert got.sids == want.sids
     assert {sid: w._shapes[sid] for sid in got.sids.values()} == {
@@ -385,7 +385,8 @@ def check_scans_through_merges(name):
         w.merge(a, b, u)
         ref._sides.clear()
         ref.merge(a, b, u)
-        # same edges, added in the same order: later scans list them in it
+        # same edges, added in the same order (the order of the output's
+        # triples)
         assert list(w.edges.items()) == list(ref.edges.items()), (a, b)
         assert {x: list(d.items()) for x, d in w.edges.adj.items()} == {
             x: list(d.items()) for x, d in ref.edges.adj.items()}, (a, b)
@@ -481,6 +482,59 @@ def test_shape_grouped_saving_matches_per_c_sum(name):
             assert w.saving(a, z) == brute_saving(w, a, z), (a, z)
         a, b = rng.sample(sorted(w.roots), 2)
         w.merge(a, b, gm.new_id(1, 0, seq))
+
+
+def group_bundle(group):
+    """A :func:`random_group` as a worker bundle, with its root-level
+    adjacency (root pairs joined by a p/n-edge, roots to their externals)."""
+    w = make_worker(**group)
+    top = w.static_root
+    nodes = [(v, w.forest.size[v], top[v]) for v in sorted(top)]
+    radj = sorted({(top[x], top[y]) for x, y, _ in group["pedges"] if top[x] != top[y]}
+                  | {(r, y) for r, y, _ in group["ext"]})
+    return (list(group["roots"]), nodes, list(group["hedges"]), list(group["pedges"]),
+            list(group["ext"]), radj)
+
+
+def assert_sides_sorted(w):
+    for side in w._sides.values():
+        assert list(side.inner) == sorted(side.inner)
+        for bucket in side.buckets.values():
+            assert list(bucket) == sorted(bucket)
+
+
+class SortedSidesWorker(gm.GroupWorker):
+    """A worker that checks every cached side scan is sorted after each
+    merge and before its output."""
+
+    def merge(self, a, b, u):
+        super().merge(a, b, u)
+        assert_sides_sorted(self)
+
+    def output(self):
+        assert_sides_sorted(self)
+        return super().output()
+
+
+@given(seed=st.integers(0, 10**4), n_roots=st.integers(2, 9), order=st.randoms(),
+       t=st.integers(1, 3))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_run_group_ignores_edge_order(seed, n_roots, order, t):
+    """Algorithm 2 on one group is a function of its edge sets: shuffling
+    the bundle's p/n-edge, external and adjacency lists and flipping each
+    p/n-edge's orientation changes no merge and no edge, and every cached
+    side scan lists its inner edges and buckets sorted."""
+    b = group_bundle(random_group(seed, n_roots))
+    pedges, ext, radj = ([(y, x, s) for x, y, s in b[3]], list(b[4]), list(b[5]))
+    for xs in (pedges, ext, radj):
+        order.shuffle(xs)
+    shuffled = (*b[:3], pedges, ext, radj)
+    args = (t, 3, seed, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gm, "GroupWorker", SortedSidesWorker)
+        (m1, e1), (m2, e2) = (gm.run_group(7, x, *args) for x in (b, shuffled))
+    assert m1 == m2
+    assert sorted(e1) == sorted(e2)
 
 
 def bundle(roots, nodes=None, hedges=(), pedges=(), ext=(), radj=()):

@@ -51,6 +51,17 @@ class TestNeighborRetrieval:
         assert idx.neighbors(3) == []
 
 
+    @pytest.mark.parametrize("which", ["negative", "n_sub", "supernode"])
+    def test_rejects_non_subnode_id(self, which):
+        edges = gen.caveman_cliques(48, clique_size=8)
+        idx = NeighborIndex(slugger(edges, 48, T=5, seed=0, engine="local").summary)
+        supernodes = set(idx.parent.values())
+        assert supernodes and min(supernodes) >= 48
+        v = {"negative": -1, "n_sub": 48, "supernode": max(supernodes)}[which]
+        with pytest.raises(ValueError, match="not a subnode id"):
+            idx.neighbors(v)
+
+
 class TestAlgorithmsOnSummary:
     def test_bfs_matches_raw(self, summarized):
         edges, _, idx = summarized

@@ -20,14 +20,6 @@ class TestCanonicalizePd:
         assert len(ops.canonicalize_pd(df)) == 1
 
 
-class TestEdgeKey:
-    def test_sorted_and_unique(self):
-        e = gen.clique(5)
-        k = ops.edge_key(e, 5)
-        assert (np.diff(k) > 0).all()
-        assert len(k) == len(e)
-
-
 class TestInducedSubgraph:
     def test_relabels_contiguously(self):
         e = gen.clique(6)
