@@ -11,7 +11,7 @@ the exact flat-model cost drops. Substitution documented in DESIGN.md
 §3.3: preserves "online method, compression between RANDOMIZED and the
 offline methods, slow on large inputs" (OOT = a ``None`` summary). The
 final partition's optimal flat encoding is returned as a height-1 summary
-(:func:`repro.baselines.flat_encode.encode_flat`).
+(:func:`repro.model.flat.encode_flat`).
 """
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
-from ..model.flat import pair_cost as flat_pair_cost
+from ..model.flat import encode_flat, pair_cost as flat_pair_cost
 from ..model.summary import SummaryResult
-from .flat_encode import encode_flat
 
 # the paper's settings
 E = 0.3  # escape probability per endpoint and edge

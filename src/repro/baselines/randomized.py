@@ -7,7 +7,7 @@ throughout. Inherently sequential (driver-side); the paper's experiments
 show it timing out on larger graphs, which a wall-clock budget here
 reproduces (a ``None`` summary = OOT, shown as "—" in the tables). The
 partition's optimal flat encoding is returned as a height-1 summary
-(:func:`repro.baselines.flat_encode.encode_flat`).
+(:func:`repro.model.flat.encode_flat`).
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
-from ..model.flat import merged_counts, supernode_cost
+from ..model.flat import encode_flat, merge_into, merged_counts, supernode_cost
 from ..model.summary import SummaryResult
-from .flat_encode import encode_flat
 
 MAX_CANDIDATES = 200  # 2-hop candidates scored per pick; more are sampled down
 
@@ -76,15 +75,7 @@ def randomized(
             unfinished.discard(u)
             continue
         v = best
-        merged = merged_counts(cnt, u, v)
-        cnt[u] = defaultdict(int, merged)
-        for x in list(merged.keys()):
-            if x != u:
-                m = cnt[x]
-                m[u] = m.pop(u, 0) + m.pop(v, 0)
-        del cnt[v]
-        sizes[u] += sizes[v]
-        del sizes[v]
+        merge_into(cnt, sizes, u, v)
         parent[v] = u
         unfinished.discard(v)
         unfinished.add(u)

@@ -5,7 +5,7 @@ signatures of their neighborhoods (H hash functions, B bands) and merges
 bucket-mates blindly with probability P. This makes it the fastest and
 least concise method in the paper's evaluation — the behaviour this
 reproduction preserves. The partition's optimal flat encoding is returned
-as a height-1 summary (:func:`repro.baselines.flat_encode.encode_flat`).
+as a height-1 summary (:func:`repro.model.flat.encode_flat`).
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import pandas as pd
 
 from ..core.hashing import P31
 from ..graphs.ops import check_edges
+from ..model.flat import encode_flat
 from ..model.summary import SummaryResult
-from .flat_encode import encode_flat
 
 # the paper's settings
 H = 30  # min-hash functions

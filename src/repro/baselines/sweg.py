@@ -9,7 +9,8 @@ same algorithm with a sharper score — documented in DESIGN.md). Groups run thr
 SLUGGER's executor, :func:`repro.core.candidates.run_groups` (in-process,
 or one ``mapInPandas`` job over pickled per-group bundles, no shuffle);
 counts are recomputed from the edge set between rounds (distributed
-SWeG's per-round staleness model).
+SWeG's per-round staleness model), read from the flat encoder's
+:class:`repro.model.flat.PairTable`.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ import pandas as pd
 
 from ..core import candidates
 from ..graphs.ops import check_edges
-from ..model.flat import merged_counts, supernode_cost
+from ..model.flat import PairTable, encode_flat, merge_into, merged_counts, supernode_cost
 from ..model.summary import SummaryResult
-from .flat_encode import encode_flat
 
 if TYPE_CHECKING:
     from pyspark.sql import SparkSession
@@ -33,8 +33,7 @@ if TYPE_CHECKING:
 class _SwegGroup:
     """One candidate set's greedy merge loop over flat-model counts."""
 
-    def __init__(self, gid: int, theta: float, seed: int,
-                 sups: list[int], sizes: dict[int, int],
+    def __init__(self, theta: float, seed: int, sups: list[int], sizes: dict[int, int],
                  cnt: dict[int, dict[int, int]]):
         self.theta = theta
         self.rng = random.Random(seed)
@@ -53,16 +52,9 @@ class _SwegGroup:
         return 1.0 - cu / (ca + cb)
 
     def _merge(self, a: int, b: int) -> None:
-        merged = merged_counts(self.cnt, a, b)
-        self.cnt[a] = dict(merged)
-        del self.cnt[b]
-        # re-key member neighbors (cross-group neighbors are stale till
-        # the driver recomputes counts next round)
-        for x in list(self.cnt[a].keys()):
-            if x != a and x in self.cnt:
-                m = self.cnt[x]
-                m[a] = m.pop(a, 0) + m.pop(b, 0)
-        self.sizes[a] += self.sizes[b]
+        # cross-group neighbors are stale till the driver recomputes
+        # counts next round
+        merge_into(self.cnt, self.sizes, a, b)
         self.sups.discard(b)
         self.merges.append((a, b))
 
@@ -114,9 +106,7 @@ def _run_group(gid: int, bundle: tuple, t: int, big_t: int, seed: int) -> list[t
     cnt: dict[int, dict[int, int]] = {s: {} for s in sups}
     for x, y, e in counts:
         cnt[x][y] = e
-    g = _SwegGroup(
-        gid, theta, (seed * 999_983 + t * 613 + gid) & 0x7FFFFFFF, sups, dict(sizes), cnt
-    )
+    g = _SwegGroup(theta, (seed * 999_983 + t * 613 + gid) & 0x7FFFFFFF, sups, dict(sizes), cnt)
     g.run()
     return g.merges
 
@@ -131,7 +121,7 @@ def sweg(
     spark: SparkSession | None = None,
 ) -> SummaryResult:
     """Run SWEG and return the optimal flat encoding of its partition, a
-    height-1 summary (:func:`repro.baselines.flat_encode.encode_flat`).
+    height-1 summary (:func:`repro.model.flat.encode_flat`).
 
     ``T``: number of rounds; ``T=0`` is legal and flat-encodes the identity
     partition, a negative ``T`` raises ValueError.
@@ -145,17 +135,12 @@ def sweg(
     check_edges(edges, n_sub)
     t0 = time.perf_counter()
     group = np.arange(n_sub, dtype=np.int64)
-    src = edges["src"].to_numpy()
-    dst = edges["dst"].to_numpy()
     for t in range(1, T + 1):
         cand = candidates.assign_groups(edges, group, seed, t)
         gid_of = dict(zip(cand["root"].tolist(), cand["gid"].tolist()))
-        # per-pair subedge counts at the current supernode level, by (a, b)
-        ga, gb = group[src], group[dst]
-        keys, pair_e = np.unique(np.minimum(ga, gb) * n_sub + np.maximum(ga, gb),
-                                 return_counts=True)
-        ids, id_size = np.unique(group, return_counts=True)
-        size = dict(zip(ids.tolist(), id_size.tolist()))
+        # per-pair subedge counts at the current supernode level
+        tab = PairTable(edges, group)
+        size = dict(zip(tab.ids.tolist(), tab.size.tolist()))
         bundles: dict[int, tuple] = {}
         for s, gid in gid_of.items():
             bundle = bundles.get(gid)
@@ -163,7 +148,7 @@ def sweg(
                 bundle = bundles[gid] = ([], {}, [])
             bundle[0].append(s)
             bundle[1][s] = size[s]
-        for a, b, e in zip((keys // n_sub).tolist(), (keys % n_sub).tolist(), pair_e.tolist()):
+        for a, b, e in zip(tab.ids[tab.px].tolist(), tab.ids[tab.py].tolist(), tab.e.tolist()):
             for mem, other in ((a, b), (b, a)) if a != b else ((a, a),):
                 _, sizes, counts = bundles[gid_of[mem]]
                 counts.append((mem, other, e))
@@ -177,6 +162,5 @@ def sweg(
                 v = remap[v]
             return v
 
-        final = {v: find(v) for v in size}
-        group = np.array([final[g] for g in group.tolist()], dtype=np.int64)
+        group = np.array([find(v) for v in tab.ids.tolist()], dtype=np.int64)[tab.g]
     return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

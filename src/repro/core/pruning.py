@@ -15,23 +15,24 @@ not contribute to concise encoding, with zero information loss.
 Step 3 can strand internal supernodes without edges, so the three steps
 are cycled (paper: "repeated a few times"; here ``CYCLES`` = 2). They
 edit a :class:`repro.model.summary.Forest` and a
-:class:`repro.model.summary.SignedEdges` read from the summary; Step 3
-groups the subedges and the p/n-edges by the pair of their endpoints'
-roots (``Forest.root_of``). Every rewrite preserves the exact coverage of
-the affected subnode pairs, so losslessness is maintained throughout;
-each substep's output can be snapshotted for Table IV via
+:class:`repro.model.summary.SignedEdges` read from the summary. Step 3 is
+the flat encoder of :mod:`repro.model.flat` with the trees as the
+partition: a :class:`repro.model.flat.PairTable` on ``Forest.leaf_root()``
+gives every root pair's flat cost, which is compared with its count of
+p/n-edges (root pairs from ``Forest.root_of``), and only the winning
+pairs are expanded. Every rewrite preserves the exact coverage of the
+affected subnode pairs, so losslessness is maintained throughout; each
+substep's output can be snapshotted for Table IV via
 ``prune(..., collect_stages=True)``.
 """
 from __future__ import annotations
 
-import functools
-from collections import defaultdict
-
+import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
-from ..model.flat import pair_cost
-from ..model.summary import Forest, HierSummary, SignedEdges, canon
+from ..model.flat import PairTable
+from ..model.summary import Forest, HierSummary, SignedEdges
 
 CYCLES = 2  # passes over Steps 1-3; a pass that changes nothing ends early
 
@@ -82,39 +83,27 @@ def step2(f: Forest, pe: SignedEdges) -> int:
 def step3(f: Forest, pe: SignedEdges, edges: pd.DataFrame) -> int:
     """Swap in the optimal flat encoding per root pair where cheaper.
     Returns the number of root pairs rewritten."""
+    tab = PairTable(edges, f.leaf_root())  # group ids = root ids
     root_of = f.root_of()
-    # subedges and current p/n-edges per root pair
-    sub_by_pair: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    for u, v in zip(edges["src"].tolist(), edges["dst"].tolist()):
-        sub_by_pair[canon(root_of[u], root_of[v])].append((u, v))
-    pcnt: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    for x, y in pe:
-        pcnt[canon(root_of[x], root_of[y])].append((x, y))
-    rewrites = 0
-    leaves = functools.cache(f.leaves)
-    for a, b in sorted(set(pcnt) | set(sub_by_pair)):
-        sub_pairs = sub_by_pair.get((a, b), [])
-        cur = pcnt.get((a, b), [])
-        flat = pair_cost(len(sub_pairs), f.size[a], f.size[b], a == b)
-        if flat >= len(cur):
-            continue
-        # remove current encoding between the two trees
-        for x, y in cur:
-            pe.remove(x, y)
-        if flat == len(sub_pairs):  # one p-edge per subedge (wins a tie)
-            for u, v in sub_pairs:
-                pe.add(u, v, 1)
-        else:  # a superedge, with an n-edge per missing subedge
-            pe.add(a, b, 1)
-            have = {canon(u, v) for u, v in sub_pairs}
-            la = leaves(a)
-            for i, u in enumerate(la):
-                for v in la[i + 1 :] if a == b else leaves(b):
-                    key = canon(u, v)
-                    if key not in have:
-                        pe.add(*key, -1)
-        rewrites += 1
-    return rewrites
+    cur = list(pe)
+    # every p/n-edge's root pair, keyed like the table's pairs (dense ranks)
+    k = len(tab.ids)
+    ends = np.searchsorted(tab.ids, np.array([root_of[v] for e in cur for v in e], dtype=np.int64))
+    ra, rb = ends[0::2], ends[1::2]
+    ckey = np.minimum(ra, rb) * k + np.maximum(ra, rb)
+    keys, pair_of, n_cur = np.unique(ckey, return_inverse=True, return_counts=True)
+    # the flat cost of each pair: the table's, or 0 if it has no subedge
+    pkey = tab.px * k + tab.py
+    hit = np.isin(keys, pkey)
+    at = np.searchsorted(pkey, keys[hit])
+    flat = np.zeros(len(keys), dtype=np.int64)
+    flat[hit] = tab.cost[at]
+    win = flat < n_cur
+    for i in np.flatnonzero(win[pair_of]).tolist():
+        pe.remove(*cur[i])
+    for x, y, s in tab.expand(at[win[hit]], tab.ids):
+        pe.add(x, y, s)
+    return int(win.sum())
 
 
 def prune(

@@ -30,6 +30,7 @@ import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
+from ..model.flat import PairTable
 from ..model.summary import Forest, SummaryResult
 from . import candidates, groupmerge
 from .consolidate import consolidate
@@ -71,12 +72,11 @@ def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], leaf_root: np
             cross.append(e)
             bundles[gx][4].append(e)
             bundles[gy][4].append((y, x, s))
-    # root-level G-adjacency (distance filter); both directions
-    ra = leaf_root[edges["src"].to_numpy()]
-    rb = leaf_root[edges["dst"].to_numpy()]
-    mask = ra != rb
-    pairs = set(zip(ra[mask].tolist(), rb[mask].tolist()))
-    for x, y in pairs:
+    # root-level G-adjacency (distance filter): each root pair with a
+    # subedge, once in each direction
+    tab = PairTable(edges, leaf_root)
+    off = tab.px != tab.py
+    for x, y in zip(tab.ids[tab.px[off]].tolist(), tab.ids[tab.py[off]].tolist()):
         bundles[gid_of[x]][5].append((x, y))
         bundles[gid_of[y]][5].append((y, x))
     return bundles, cross

@@ -6,7 +6,7 @@ The model has two forms:
 
 - :class:`HierSummary`, the frozen table form: the output of SLUGGER and
   of the four baselines (height-1 trees, see
-  :mod:`repro.baselines.flat_encode`), and the input of the decoders, the
+  :func:`repro.model.flat.encode_flat`), and the input of the decoders, the
   metrics, partial decompression and pruning.
   Its tables (pandas) are
   - ``nodes``:  (nid, size) — every supernode, including singletons;

@@ -5,12 +5,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.flat_encode import encode_flat
+from repro.core.groupmerge import ID_BASE
+from repro.core.slugger import slugger
 from repro.graphs import generators as gen
 from repro.graphs.ops import canonicalize_pd
 from repro.model.cost import metrics
 from repro.model.decode import assert_lossless_pd
-from repro.model.flat import pair_cost
+from repro.model.flat import PairTable, encode_flat, pair_cost
+from repro.model.summary import Forest
 from repro.oracle import assert_equivalent
 
 
@@ -123,6 +125,31 @@ class TestEncodeFlat:
         assert len(p) == 6 and len(cp) and len(cn)
         assert len(fs.pedges) == counts["cost"].sum()
         _lossless(fs, canonicalize_pd(e))
+
+
+class TestPairTable:
+    def test_slugger_root_ids_match_duckdb(self):
+        # group ids as Forest.leaf_root returns them after SLUGGER's merges
+        # (>= 2**40): DuckDB computes each root pair's E_AB and flat cost
+        # on the raw ids, the table on dense ranks
+        e = gen.nested_partition(60, levels=2, branching=3, p_top=0.05, ratio=8, seed=0)
+        s = slugger(e, 60, T=4, seed=0, engine="local", do_prune=False).summary
+        g = Forest.from_summary(s).leaf_root()
+        assert (g >= ID_BASE).sum() > 10
+        tab = PairTable(e, g)
+        got = pd.DataFrame({"gx": tab.ids[tab.px], "gy": tab.ids[tab.py],
+                            "e_ab": tab.e, "cost": tab.cost})
+        assert (got["gx"] >= ID_BASE).any() and (got["gx"] == got["gy"]).any()
+        assert_equivalent(
+            got,
+            "WITH sz AS (SELECT g, count(*) AS n FROM gm GROUP BY g), "
+            "c AS (SELECT least(a.g, b.g) AS gx, greatest(a.g, b.g) AS gy, "
+            "count(*) AS e_ab FROM e JOIN gm a ON e.src = a.sub "
+            "JOIN gm b ON e.dst = b.sub GROUP BY 1, 2) "
+            "SELECT gx, gy, e_ab, least(e_ab, CASE WHEN gx = gy "
+            "THEN x.n * (x.n - 1) // 2 ELSE x.n * y.n END - e_ab + 1) AS cost "
+            "FROM c JOIN sz x ON gx = x.g JOIN sz y ON gy = y.g",
+            e=e, gm=pd.DataFrame({"sub": np.arange(60), "g": g}))
 
 
 class TestFlatMetrics:

@@ -1,15 +1,21 @@
 """Pruning tests: each substep in isolation, losslessness, Table-IV
-statistics behaviour."""
+statistics behaviour, and Step 3 against a pure-Python reference."""
+import functools
+from collections import defaultdict
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.pruning import prune, step1, step2, step3
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
 from repro.model.cost import cost, metrics
 from repro.model.decode import assert_lossless_pd, decode_pd
-from repro.model.summary import Forest, HierSummary, SignedEdges
+from repro.model.flat import pair_cost
+from repro.model.summary import Forest, HierSummary, SignedEdges, canon
 from tests.test_slugger import digest
 
 
@@ -25,6 +31,46 @@ def summary_of(nodes, hedges, pedges, n_sub):
         hedges=pd.DataFrame(hedges, columns=["parent", "child"]).astype(np.int64),
         pedges=pd.DataFrame(pedges, columns=["x", "y", "sign"]).astype(np.int64),
     )
+
+
+def reference_step3(f: Forest, pe: SignedEdges, edges: pd.DataFrame) -> int:
+    """Step 3 that groups every subedge and p/n-edge by root pair in
+    Python, decides each pair by ``pair_cost`` and lists a superedge's
+    n-edges from the two trees' leaves; kept verbatim as the reference for
+    the table-based step."""
+    root_of = f.root_of()
+    # subedges and current p/n-edges per root pair
+    sub_by_pair: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    for u, v in zip(edges["src"].tolist(), edges["dst"].tolist()):
+        sub_by_pair[canon(root_of[u], root_of[v])].append((u, v))
+    pcnt: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    for x, y in pe:
+        pcnt[canon(root_of[x], root_of[y])].append((x, y))
+    rewrites = 0
+    leaves = functools.cache(f.leaves)
+    for a, b in sorted(set(pcnt) | set(sub_by_pair)):
+        sub_pairs = sub_by_pair.get((a, b), [])
+        cur = pcnt.get((a, b), [])
+        flat = pair_cost(len(sub_pairs), f.size[a], f.size[b], a == b)
+        if flat >= len(cur):
+            continue
+        # remove current encoding between the two trees
+        for x, y in cur:
+            pe.remove(x, y)
+        if flat == len(sub_pairs):  # one p-edge per subedge (wins a tie)
+            for u, v in sub_pairs:
+                pe.add(u, v, 1)
+        else:  # a superedge, with an n-edge per missing subedge
+            pe.add(a, b, 1)
+            have = {canon(u, v) for u, v in sub_pairs}
+            la = leaves(a)
+            for i, u in enumerate(la):
+                for v in la[i + 1 :] if a == b else leaves(b):
+                    key = canon(u, v)
+                    if key not in have:
+                        pe.add(*key, -1)
+        rewrites += 1
+    return rewrites
 
 
 class TestStep1:
@@ -200,6 +246,22 @@ class TestStep3:
         assert step3(f, pe, edges) >= 1
         assert len(f.to_summary(pe.triples()).pedges) == 0
 
+    def test_tie_goes_to_corrections(self):
+        # root 10 = {11 = {0, 1}, 2} with subedges (0, 1), (0, 2): a
+        # superedge costs 1 + 3 - 2 = 2, as do two p-edges, so the three
+        # current edges give way to the corrections, as in the reference
+        s = summary_of(
+            [(0, 1), (1, 1), (2, 1), (10, 3), (11, 2)],
+            [(10, 11), (10, 2), (11, 0), (11, 1)],
+            [(2, 11, 1), (1, 2, -1), (0, 1, 1)],
+            3,
+        )
+        edges = decode_pd(s)
+        f, pe = state(s)
+        rf, rpe = state(s)
+        assert step3(f, pe, edges) == reference_step3(rf, rpe, edges) == 1
+        assert dict(pe) == dict(rpe) == {(0, 1): 1, (0, 2): 1}
+
 
 class TestFullPrune:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -246,3 +308,22 @@ class TestFullPrune:
         res = slugger(edges, 60, T=4, seed=0, engine="local")
         again = prune(res.summary, edges)
         assert cost(again) == cost(res.summary)
+
+
+@given(seed=st.integers(0, 2**20), n=st.integers(12, 60), levels=st.integers(1, 3),
+       T=st.integers(1, 6), hb=st.sampled_from([0, 2]), after_steps_12=st.booleans())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_step3_equals_reference(seed, n, levels, T, hb, after_steps_12):
+    # unpruned SLUGGER output on a random nested graph, optionally after
+    # Steps 1-2 (which leave pairs where the flat encoding wins)
+    edges = gen.nested_partition(n, levels=levels, branching=3, p_top=0.05, ratio=8, seed=seed)
+    s = slugger(edges, n, T=T, seed=seed, hb=hb, engine="local", do_prune=False).summary
+    if after_steps_12:
+        f, pe = state(s)
+        step1(f, pe)
+        step2(f, pe)
+        s = f.to_summary(pe.triples())
+    f, pe = state(s)
+    rf, rpe = state(s)
+    assert step3(f, pe, edges) == reference_step3(rf, rpe, edges)
+    assert dict(pe) == dict(rpe)
