@@ -79,14 +79,13 @@ class _SwegGroup:
         self.rng.shuffle(q)
         while len(q) > 1:
             a = q.pop()
-            nbrs_a = set(self.cnt[a])
             # SWeG picks the partner by SuperJaccard, then admits the merge
             # only if the (exact) Saving clears θ(t) — it does NOT argmax
-            # Saving itself (that is the expensive step it avoids).
+            # Saving itself (that is the expensive step it avoids). Every
+            # member of Q is within distance 2 of a: they share a's
+            # level-0 shingle (repro.core.candidates).
             best, best_j = None, -1.0
             for z in q:
-                if z not in nbrs_a and not (nbrs_a & set(self.cnt[z])):
-                    continue  # distance > 2
                 j = self._superjaccard(a, z)
                 if j > best_j:
                     best, best_j = z, j

@@ -7,6 +7,14 @@ computed only once some group needs it) and finally
 split randomly so no candidate set exceeds ``max_size`` (paper: 500).
 Per-iteration seeds vary the candidate sets across iterations.
 
+Every candidate set lies inside one level-0 shingle class: level 0 always
+splits, and deeper levels and random chunks only subdivide. For node ids
+below 2^31 − 1 the hash is injective, so the roots of a candidate set are
+pairwise within distance 2 in G, before and after any merge among them
+(:mod:`repro.core.hashing`). That is all Lemma 1 asks of a pair, so the
+group workers of SLUGGER and SWEG score every pair in a set with no
+distance filter and no adjacency (DESIGN.md §3.2).
+
 :func:`run_groups` then runs one function on every group, in-process or
 as one Spark ``mapInPandas`` job over pickled per-group bundles
 (:func:`map_bundles`: no shuffle; an Arrow batch carries many groups).
@@ -55,7 +63,8 @@ def assign_groups(
     gid = np.full(len(roots), -1, dtype=np.int64)
     next_gid = 0
     # level-0 shingles are the *primary* grouping (roots sharing a shingle
-    # are within distance 2); deeper levels only subdivide oversized groups
+    # are within distance 2); deeper levels and random chunks only
+    # subdivide oversized groups, so every group has one level-0 shingle
     stack: list[tuple[np.ndarray, int]] = [(np.arange(len(roots)), 0)]
     while stack:
         idx, lvl = stack.pop()
@@ -66,12 +75,10 @@ def assign_groups(
             sv = vals[order]
             cuts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
             ends = np.r_[cuts[1:], len(sv)]
-            if lvl == 0 or len(cuts) > 1:
-                for s, e in zip(cuts, ends):
-                    stack.append((idx[order[s:e]], lvl + 1))
-                continue
-            # all shingles equal at this level: fall through to the next
-            stack.append((idx, lvl + 1))
+            # one cut (all shingles equal) pushes idx itself: a stable
+            # argsort of equal keys is the identity
+            for s, e in zip(cuts, ends):
+                stack.append((idx[order[s:e]], lvl + 1))
             continue
         if len(idx) > max_size:  # levels exhausted: random chunking
             perm = rng.permutation(idx)

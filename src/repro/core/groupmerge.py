@@ -47,8 +47,9 @@ from ..model.summary import Forest, SignedEdges, canon
 from . import localenc as L
 
 # one group's worker input: (roots, nodes(x, size, root), hedges(parent,
-# child), pedges(x, y, sign), ext(member, external, sign), radj(a, b))
-Bundle = tuple[list, list, list, list, list, list]
+# child), pedges(x, y, sign), ext(member, external, sign)); no adjacency,
+# since the roots of a candidate set are pairwise within distance 2
+Bundle = tuple[list, list, list, list, list]
 
 ID_BASE = 1 << 40  # internal supernode ids live above all subnode ids
 NO_MERGE = -10**18  # Saving sentinel for infeasible pairs
@@ -100,7 +101,7 @@ class GroupWorker:
     def __init__(self, gid: int, t: int, theta: float, seed: int, hb: int,
                  roots: list[int], nodes: list[tuple[int, int, int]],
                  hedges: list[tuple[int, int]], pedges: list[tuple[int, int, int]],
-                 ext: list[tuple[int, int, int]], radj: list[tuple[int, int]]):
+                 ext: list[tuple[int, int, int]]):
         self.gid, self.t, self.theta, self.hb = gid, t, theta, hb
         self.rng = random.Random(seed)
         self.roots: set[int] = set(roots)
@@ -143,15 +144,6 @@ class GroupWorker:
             self.ext_adj[x][y] = s
             self.inc[self.treeof(x)] += 1
             self._bump_ndeg(x, 1)
-        # --- root-level G-adjacency for the distance<=2 candidate filter ---
-        self.nbr: dict[int, set[int]] = defaultdict(set)  # member neighbors
-        self.extnbr: dict[int, set[int]] = defaultdict(set)  # external neighbors
-        for a, b in radj:
-            if b in self.roots:
-                self.nbr[a].add(b)
-                self.nbr[b].add(a)
-            else:
-                self.extnbr[a].add(b)
         self.merges: list[tuple[int, int, int]] = []  # (A, B, U)
         self._sides: dict[tuple[int, int], _Side] = {}  # (root, role) -> scan
         # Case-2 bucket shapes (nc, bucket) by id, and the shared-C
@@ -449,13 +441,6 @@ class GroupWorker:
         self.roots.discard(a)
         self.roots.discard(b)
         self.roots.add(u)
-        # G-level adjacency for the distance filter
-        self.nbr[u] = {self.treeof(x) for x in (self.nbr.pop(a, set()) | self.nbr.pop(b, set()))} - {u}
-        self.extnbr[u] = self.extnbr.pop(a, set()) | self.extnbr.pop(b, set())
-        for z in self.nbr[u]:
-            self.nbr[z].discard(a)
-            self.nbr[z].discard(b)
-            self.nbr[z].add(u)
 
         # --- apply Case 1 ---
         label2real = dict(zip(sa.labels + sb.labels, sa.reals + sb.reals))
@@ -496,13 +481,12 @@ class GroupWorker:
     # ------------------------------------------------------------- main loop
 
     def candidates(self, a: int, q: list[int]) -> list[int]:
-        """Members of Q within distance 2 of A in G (Lemma 1 filter)."""
-        na_, ea_ = self.nbr[a], self.extnbr[a]
-        out = []
-        for z in q:
-            if z in na_ or (na_ & self.nbr[z]) or (ea_ & self.extnbr[z]):
-                out.append(z)
-        return out
+        """The members of Q that A may merge with: all of Q. Lemma 1 asks
+        only for roots within distance 2 of A in G, and every root of a
+        candidate set is: the roots share their level-0 shingle, so they
+        all reach the one node that attains it, and a merged root keeps
+        that shingle (:mod:`repro.core.candidates`, DESIGN.md §3.2)."""
+        return q
 
     def run(self) -> None:
         """Algorithm 2 over this group."""
@@ -533,7 +517,11 @@ class GroupWorker:
 
 def run_group(gid: int, bundle: Bundle, t: int, big_t: int, seed: int,
               hb: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """Algorithm 2 on one group: (merges (A, B, U), intra-group p/n-edges)."""
+    """Algorithm 2 on one group: (merges (A, B, U), intra-group p/n-edges).
+
+    The bundle carries no adjacency: the group is a candidate set, whose
+    roots are pairwise within distance 2 (:mod:`repro.core.candidates`),
+    so every pair is scored."""
     if len(bundle[0]) < 2:
         return [], bundle[3]  # nothing to merge with
     theta = 1.0 / (1 + t) if t < big_t else 0.0

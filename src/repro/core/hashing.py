@@ -3,9 +3,13 @@
 The shingle of a root A at iteration t is
 ``f_t(A) = min_{u ∈ A} min_{v ∈ N(u) ∪ {u}} h_t(v)``
 over a per-iteration universal hash ``h_t(v) = (a·v + b) mod p`` with
-p = 2^31 − 1. Roots sharing a shingle share a neighbor (or a node), so
-they are within distance 2 — the only pairs whose merger can reduce the
-encoding cost (Lemma 1).
+p = 2^31 − 1. With 1 <= a < p and p prime, ``h_t`` is injective on node
+ids below p, which holds for every input here (SLUGGER requires
+n_sub < 2^24). So a shingle value is attained at exactly one node v, and
+every root with that shingle has a subnode u with v ∈ N(u) ∪ {u}: any two
+such roots are within distance 2 in G, the only pairs whose merger can
+reduce the encoding cost (Lemma 1). A root merged from two of them keeps
+the shingle, as it contains both subnodes.
 
 Shingles are computed with vectorized numpy in the driver loop.
 """

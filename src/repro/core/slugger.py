@@ -5,8 +5,9 @@ The per-iteration dataflow (DESIGN.md §3.2):
 
 1. shingle-based candidate sets over current roots (numpy, in the driver);
 2. :func:`_tall_rows` builds one bundle of plain tuple lists per group:
-   member roots and trees, intra-group p/n-edges, read-only external
-   edges and root-level G-adjacency;
+   member roots and trees, intra-group p/n-edges and read-only external
+   edges (no adjacency: the roots of a candidate set are pairwise within
+   distance 2 already, see :mod:`repro.core.candidates`);
 3. each group runs Algorithm 2 via :func:`repro.core.groupmerge.run_group`
    through :func:`repro.core.candidates.run_groups` (``engine="local"``
    loops over the groups in gid order in-process; ``engine="spark"`` runs
@@ -26,11 +27,9 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
-from ..model.flat import PairTable
 from ..model.summary import Forest, SummaryResult
 from . import candidates, groupmerge
 from .consolidate import consolidate
@@ -40,12 +39,11 @@ if TYPE_CHECKING:
     from pyspark.sql import SparkSession
 
 
-def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], leaf_root: np.ndarray,
-               edges: pd.DataFrame, gid_of: dict[int, int]):
+def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], gid_of: dict[int, int]):
     """Build the per-group worker bundles and the read-only cross edge list.
 
     ``bundles[gid]`` is ``(roots, nodes(x, size, root), hedges(p, c),
-    pedges(x, y, s), ext(x, y, s), radj(a, b))``, see
+    pedges(x, y, s), ext(x, y, s))``, see
     :func:`repro.core.groupmerge.run_group`.
     """
     bundles: dict[int, groupmerge.Bundle] = {}
@@ -54,7 +52,7 @@ def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], leaf_root: np
     for r, g in gid_of.items():
         b = bundles.get(g)
         if b is None:
-            b = bundles[g] = ([], [], [], [], [], [])
+            b = bundles[g] = ([], [], [], [], [])
         roots, nodes, hedges = b[0], b[1], b[2]
         roots.append(r)
         for v in forest.tree(r):
@@ -72,13 +70,6 @@ def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], leaf_root: np
             cross.append(e)
             bundles[gx][4].append(e)
             bundles[gy][4].append((y, x, s))
-    # root-level G-adjacency (distance filter): each root pair with a
-    # subedge, once in each direction
-    tab = PairTable(edges, leaf_root)
-    off = tab.px != tab.py
-    for x, y in zip(tab.ids[tab.px[off]].tolist(), tab.ids[tab.py[off]].tolist()):
-        bundles[gid_of[x]][5].append((x, y))
-        bundles[gid_of[y]][5].append((y, x))
     return bundles, cross
 
 
@@ -95,10 +86,9 @@ def _run_round(
 ) -> list[tuple[int, int, int]]:
     """One round of Algorithm 1: merges into ``forest`` and returns the
     round's p/n-edges."""
-    leaf_root = forest.leaf_root()
-    groups = candidates.assign_groups(edges, leaf_root, seed, t)
+    groups = candidates.assign_groups(edges, forest.leaf_root(), seed, t)
     gid_of = dict(zip(groups["root"].tolist(), groups["gid"].tolist()))
-    bundles, cross = _tall_rows(forest, pedges, leaf_root, edges, gid_of)
+    bundles, cross = _tall_rows(forest, pedges, gid_of)
     results = candidates.run_groups(groupmerge.run_group, bundles, (t, big_t, seed, hb),
                                     spark if engine == "spark" else None)
     for m, _ in results:

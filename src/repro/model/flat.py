@@ -14,11 +14,11 @@ whichever is cheaper; a tie goes to the corrections (:func:`pair_cost`).
 numpy; it is the one flat encoder. :func:`encode_flat` writes all of it
 as the final step of SWEG / SAGS / RANDOMIZED / MOSSO, pruning Step 3
 (:func:`repro.core.pruning.step3`) swaps it in per root pair where it is
-cheaper, and SWEG's rounds and SLUGGER's ``_tall_rows`` read their
-per-pair counts from the table. The flat model is the hierarchical one
-with trees of height 1 (Sect. II-B), so there is no flat summary type:
-the encoding is a :class:`repro.model.summary.HierSummary`. The dict
-helpers below serve the baselines' greedy merge searches.
+cheaper, and SWEG's rounds read their per-pair counts from the table.
+The flat model is the hierarchical one with trees of height 1
+(Sect. II-B), so there is no flat summary type: the encoding is a
+:class:`repro.model.summary.HierSummary`. The dict helpers below serve
+the baselines' greedy merge searches.
 """
 from __future__ import annotations
 

@@ -13,7 +13,11 @@ columns are not orderable so cannot be compared here.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
+
+
+def _pandas(t) -> pd.DataFrame:
+    # a Spark frame is collected; pyspark is never imported here
+    return t.toPandas() if hasattr(t, "toPandas") else t
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,15 +29,15 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(result: DataFrame | pd.DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(result, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, _pandas(t))
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = result.toPandas() if isinstance(result, DataFrame) else result
+    got = _pandas(result)
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

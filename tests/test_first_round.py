@@ -41,7 +41,7 @@ def round_one_bundles(edges: pd.DataFrame, n: int, seed: int, *, one_group: bool
     else:
         groups = candidates.assign_groups(edges, leaf_root, seed, 1)
         gid_of = dict(zip(groups["root"].tolist(), groups["gid"].tolist()))
-    bundles, _ = _tall_rows(forest, pedges, leaf_root, edges, gid_of)
+    bundles, _ = _tall_rows(forest, pedges, gid_of)
     return bundles
 
 

@@ -12,7 +12,7 @@ from repro.core import localenc as L
 from repro.core.candidates import run_groups
 
 
-def make_worker(roots, hedges=(), pedges=(), ext=(), radj=(), sizes=None,
+def make_worker(roots, hedges=(), pedges=(), ext=(), sizes=None,
                 theta=0.0, seed=0, hb=0):
     """Build a GroupWorker from terse tuples."""
     all_nodes = set(roots)
@@ -40,7 +40,7 @@ def make_worker(roots, hedges=(), pedges=(), ext=(), radj=(), sizes=None,
     nodes = [(v, sizes[v] if sizes else sz(v), rootof(v)) for v in sorted(all_nodes)]
     return gm.GroupWorker(
         gid=0, t=1, theta=theta, seed=seed, hb=hb, roots=list(roots), nodes=nodes,
-        hedges=list(hedges), pedges=list(pedges), ext=list(ext), radj=list(radj),
+        hedges=list(hedges), pedges=list(pedges), ext=list(ext),
     )
 
 
@@ -81,8 +81,7 @@ class TestBookkeeping:
 class TestSaving:
     def test_twin_singletons_sharing_member_neighbor(self):
         # 0 and 1 both connected to 2: case2 lift saves 1, h-edges cost 2
-        w = make_worker([0, 1, 2], pedges=[(0, 2, 1), (1, 2, 1)],
-                        radj=[(0, 2), (1, 2)])
+        w = make_worker([0, 1, 2], pedges=[(0, 2, 1), (1, 2, 1)])
         s = w.saving(0, 1)
         # den=2, num=0+0+2+2-0+0-1-0=3 -> saving=-0.5
         assert s == pytest.approx(-0.5)
@@ -91,15 +90,13 @@ class TestSaving:
         # triangle 0-1-2: den=3 (edges 01,02,12 once each); merging 0,1
         # costs 2 h-edges, Case 2 lifts (0,2)+(1,2) -> (U,2): num=4
         w = make_worker([0, 1, 2],
-                        pedges=[(0, 1, 1), (0, 2, 1), (1, 2, 1)],
-                        radj=[(0, 1), (0, 2), (1, 2)])
+                        pedges=[(0, 1, 1), (0, 2, 1), (1, 2, 1)])
         assert w.saving(0, 1) == pytest.approx(1 - 4 / 3)
 
     def test_connected_pair_in_k4_breaks_even(self):
         # K4: two Case-2 lifts exactly pay for the two new h-edges
         pe = [(a, b, 1) for a in range(4) for b in range(a + 1, 4)]
-        ra = [(a, b) for a in range(4) for b in range(4) if a != b]
-        w = make_worker([0, 1, 2, 3], pedges=pe, radj=ra)
+        w = make_worker([0, 1, 2, 3], pedges=pe)
         assert w.saving(0, 1) == pytest.approx(0.0)
 
     def test_height_bound_blocks(self):
@@ -136,22 +133,19 @@ class TestMergeEncoding:
 
     def test_run_respects_theta(self):
         # theta=0.6 > any achievable saving here -> no merges
-        w = make_worker([0, 1, 2], pedges=[(0, 1, 1), (0, 2, 1), (1, 2, 1)],
-                        radj=[(0, 1), (0, 2), (1, 2)], theta=0.6)
+        w = make_worker([0, 1, 2], pedges=[(0, 1, 1), (0, 2, 1), (1, 2, 1)], theta=0.6)
         w.run()
         assert w.merges == []
 
     def test_run_merges_at_zero_theta(self):
         # K4 break-even merges are admitted when theta reaches 0 (t = T)
         pe = [(a, b, 1) for a in range(4) for b in range(a + 1, 4)]
-        ra = [(a, b) for a in range(4) for b in range(4) if a != b]
-        w = make_worker([0, 1, 2, 3], pedges=pe, radj=ra, theta=0.0)
+        w = make_worker([0, 1, 2, 3], pedges=pe, theta=0.0)
         w.run()
         assert len(w.merges) >= 1
 
     def test_output_schema(self):
-        w = make_worker([0, 1, 2], pedges=[(0, 1, 1), (0, 2, 1), (1, 2, 1)],
-                        radj=[(0, 1), (0, 2), (1, 2)], theta=0.0)
+        w = make_worker([0, 1, 2], pedges=[(0, 1, 1), (0, 2, 1), (1, 2, 1)], theta=0.0)
         w.run()
         merges, pedges = w.output()
         assert all(len(m) == 3 for m in merges)
@@ -485,15 +479,12 @@ def test_shape_grouped_saving_matches_per_c_sum(name):
 
 
 def group_bundle(group):
-    """A :func:`random_group` as a worker bundle, with its root-level
-    adjacency (root pairs joined by a p/n-edge, roots to their externals)."""
+    """A :func:`random_group` as a worker bundle."""
     w = make_worker(**group)
     top = w.static_root
     nodes = [(v, w.forest.size[v], top[v]) for v in sorted(top)]
-    radj = sorted({(top[x], top[y]) for x, y, _ in group["pedges"] if top[x] != top[y]}
-                  | {(r, y) for r, y, _ in group["ext"]})
     return (list(group["roots"]), nodes, list(group["hedges"]), list(group["pedges"]),
-            list(group["ext"]), radj)
+            list(group["ext"]))
 
 
 def assert_sides_sorted(w):
@@ -521,14 +512,14 @@ class SortedSidesWorker(gm.GroupWorker):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_run_group_ignores_edge_order(seed, n_roots, order, t):
     """Algorithm 2 on one group is a function of its edge sets: shuffling
-    the bundle's p/n-edge, external and adjacency lists and flipping each
+    the bundle's p/n-edge and external lists and flipping each
     p/n-edge's orientation changes no merge and no edge, and every cached
     side scan lists its inner edges and buckets sorted."""
     b = group_bundle(random_group(seed, n_roots))
-    pedges, ext, radj = ([(y, x, s) for x, y, s in b[3]], list(b[4]), list(b[5]))
-    for xs in (pedges, ext, radj):
+    pedges, ext = ([(y, x, s) for x, y, s in b[3]], list(b[4]))
+    for xs in (pedges, ext):
         order.shuffle(xs)
-    shuffled = (*b[:3], pedges, ext, radj)
+    shuffled = (*b[:3], pedges, ext)
     args = (t, 3, seed, 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gm, "GroupWorker", SortedSidesWorker)
@@ -537,17 +528,16 @@ def test_run_group_ignores_edge_order(seed, n_roots, order, t):
     assert sorted(e1) == sorted(e2)
 
 
-def bundle(roots, nodes=None, hedges=(), pedges=(), ext=(), radj=()):
+def bundle(roots, nodes=None, hedges=(), pedges=(), ext=()):
     """A group bundle; ``nodes`` defaults to one singleton per root."""
     if nodes is None:
         nodes = [(r, 1, r) for r in roots]
-    return (list(roots), list(nodes), list(hedges), list(pedges), list(ext), list(radj))
+    return (list(roots), list(nodes), list(hedges), list(pedges), list(ext))
 
 
 def k6_bundle():
     pe = [(a, b, 1) for a in range(6) for b in range(a + 1, 6)]
-    ra = [(a, b) for a in range(6) for b in range(6) if a != b]
-    return bundle(range(6), pedges=pe, radj=ra)
+    return bundle(range(6), pedges=pe)
 
 
 class TestRunGroup:
@@ -562,14 +552,14 @@ class TestRunGroup:
     def test_single_root_passes_edges_through(self):
         b = bundle([10], nodes=[(10, 2, 10), (0, 1, 10), (1, 1, 10)],
                    hedges=[(10, 0), (10, 1)], pedges=[(1, 0, 1), (10, 10, -1)],
-                   ext=[(10, 99, 1)], radj=[(10, 7)])
+                   ext=[(10, 99, 1)])
         merges, pedges = gm.run_group(3, b, 1, 5, 0, 0)
         assert merges == [] and pedges == [(1, 0, 1), (10, 10, -1)]
 
     @pytest.mark.parametrize("gid,make", [
         (0, k6_bundle),
         (5, lambda: bundle([0, 1, 2], pedges=[(0, 2, 1), (1, 2, 1)],
-                           ext=[(0, 99, 1), (1, 99, 1)], radj=[(0, 2), (1, 2), (0, 99)])),
+                           ext=[(0, 99, 1), (1, 99, 1)])),
         (9, lambda: bundle([4], pedges=[(4, 4, 1)])),
         (2, lambda: bundle([])),
     ], ids=["k6", "ext", "single_root", "empty"])
@@ -585,7 +575,7 @@ class TestRunGroup:
             9: bundle([4], pedges=[(4, 4, 1)]),
             0: k6_bundle(),
             5: bundle([0, 1, 2], pedges=[(0, 2, 1), (1, 2, 1)],
-                      ext=[(0, 99, 1), (1, 99, 1)], radj=[(0, 2), (1, 2), (0, 99)]),
+                      ext=[(0, 99, 1), (1, 99, 1)]),
             2: bundle([]),
         }
         args = (1, 1, 7, 0)

@@ -2,10 +2,14 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import candidates
+from repro.core.groupmerge import new_id
 from repro.core.hashing import P31, hash_params, node_hash_np, shingles_np
 from repro.graphs import generators as gen
+from repro.model.summary import Forest
 
 
 class TestHash:
@@ -172,3 +176,57 @@ class TestLazyLevels:
         candidates.assign_groups(gen.clique(30), np.arange(30, dtype=np.int64),
                                  seed=3, t=1, max_size=10)
         assert seeds == [3 + 7919 * lvl for lvl in range(candidates.MAX_LEVELS)]
+
+
+def random_forest_roots(n: int, merges: int, seed: int) -> np.ndarray:
+    """``leaf_root`` of an n-subnode forest after ``merges`` merges of two
+    random roots each (fewer if the roots run out)."""
+    rng = np.random.default_rng(seed)
+    f = Forest(n, {u: 1 for u in range(n)})
+    roots = list(range(n))
+    for seq in range(min(merges, n - 1)):
+        i, j = sorted(rng.choice(len(roots), 2, replace=False).tolist())
+        b, a = roots.pop(j), roots.pop(i)
+        u = new_id(1 + seq // 1024, 0, seq % 1024)
+        f.merge(a, b, u)
+        roots.append(u)
+    return f.leaf_root()
+
+
+def root_adjacency(edges: pd.DataFrame, leaf_root: np.ndarray) -> dict[int, set[int]]:
+    """Root -> the other roots it shares a subedge with."""
+    adj: dict[int, set[int]] = {int(r): set() for r in leaf_root}
+    for u, v in zip(edges["src"].tolist(), edges["dst"].tolist()):
+        ru, rv = int(leaf_root[u]), int(leaf_root[v])
+        if ru != rv:
+            adj[ru].add(rv)
+            adj[rv].add(ru)
+    return adj
+
+
+@given(n=st.integers(1, 70), p=st.sampled_from([0.0, 0.03, 0.1, 0.3, 0.7, 1.0]),
+       graph_seed=st.integers(0, 10**6), merge_frac=st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+       seed=st.integers(0, 10**4), t=st.integers(1, 30),
+       max_size=st.sampled_from([2, 3, 8, 500]))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_candidate_sets_are_level0_classes_within_distance_2(n, p, graph_seed, merge_frac,
+                                                             seed, t, max_size):
+    """The invariant the group workers rely on instead of a distance
+    filter: every candidate set has one level-0 shingle, and any two of its
+    roots are within distance 2 in the root-level graph, found here from
+    the edge list alone."""
+    rng = np.random.default_rng(graph_seed)
+    src, dst = np.triu_indices(n, 1)
+    keep = rng.random(len(src)) < p
+    e = pd.DataFrame({"src": src[keep].astype(np.int64), "dst": dst[keep].astype(np.int64)})
+    lr = random_forest_roots(n, int(merge_frac * n), graph_seed)
+    g = candidates.assign_groups(e, lr, seed=seed, t=t, max_size=max_size)
+    assert g.groupby("gid").size().max() <= max_size
+    sh = shingles_np(e, lr, seed, t).set_index("root")["shingle"]
+    adj = root_adjacency(e, lr)
+    for _, roots in g.groupby("gid")["root"]:
+        roots = roots.tolist()
+        assert sh.loc[roots].nunique() == 1
+        for i, a in enumerate(roots):
+            for b in roots[i + 1:]:
+                assert b in adj[a] or adj[a] & adj[b], (a, b)

@@ -68,6 +68,7 @@ def test_summarize_spark_engine_prints_local_record():
 LOCAL_PATH = """
 import json, runpy, sys
 
+import repro.oracle
 from repro.baselines.sags import sags
 from repro.baselines.sweg import sweg
 from repro.core.slugger import slugger
