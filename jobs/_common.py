@@ -3,7 +3,6 @@ session for ``--engine spark`` only, and table printing."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -13,19 +12,17 @@ if TYPE_CHECKING:
 
 def session(app: str, engine: str) -> SparkSession | None:
     """A Spark session for ``engine="spark"``; None for the local engine,
-    which then starts no JVM and imports no pyspark."""
+    which then starts no JVM and imports no pyspark. Only Arrow is
+    configured: the Spark engine runs one map-only ``mapInPandas`` job per
+    round, with no shuffle or join to tune, and jobs never decode on
+    Spark."""
     if engine != "spark":
         return None
     from pyspark.sql import SparkSession
 
     return (
         SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"),
-        )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
 

@@ -11,7 +11,9 @@ the exact flat-model cost drops. Substitution documented in DESIGN.md
 §3.3: preserves "online method, compression between RANDOMIZED and the
 offline methods, slow on large inputs" (OOT = a ``None`` summary). The
 final partition's optimal flat encoding is returned as a height-1 summary
-(:func:`repro.model.flat.encode_flat`).
+(:func:`repro.model.flat.encode_flat`). The state keeps each supernode's
+size and pair counts, and prices a supernode with
+:func:`repro.model.flat.supernode_cost`.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
-from ..model.flat import encode_flat, pair_cost as flat_pair_cost
+from ..model.flat import encode_flat, pair_cost as flat_pair_cost, supernode_cost
 from ..model.summary import SummaryResult
 
 # the paper's settings
@@ -34,11 +36,10 @@ C = 120  # candidate supernodes sampled per move
 class _State:
     def __init__(self, n_sub: int):
         self.sup_of = list(range(n_sub))  # subnode -> supernode id
-        self.members: dict[int, set[int]] = {u: {u} for u in range(n_sub)}
+        self.sizes: dict[int, int] = dict.fromkeys(range(n_sub), 1)  # supernode -> subnodes
         self.adj: dict[int, set[int]] = defaultdict(set)  # subnode graph so far
-        # supernode-pair subedge counts
+        # supernode-pair subedge counts, none held at 0
         self.cnt: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-        self.next_id = n_sub
 
     def _bump(self, a: int, b: int, d: int) -> None:
         # symmetric store: cnt[a][b] == cnt[b][a]
@@ -57,13 +58,14 @@ class _State:
 
     def pair_cost(self, a: int, b: int) -> int:
         e = self.cnt[a].get(b, 0)
-        return flat_pair_cost(e, len(self.members[a]), len(self.members[b]), a == b) if e else 0
+        # an escape id has no size until a subnode moves in
+        return flat_pair_cost(e, self.sizes[a], self.sizes[b], a == b) if e else 0
 
     def sup_cost(self, a: int) -> int:
         """Cost of all flat-encoding pairs involving supernode a."""
-        if a not in self.members:
+        if a not in self.sizes:
             return 0
-        return sum(self.pair_cost(a, y) for y in self.cnt.get(a, {}))
+        return supernode_cost(self.cnt.get(a, {}), self.sizes, a, self.sizes[a])
 
     def move(self, u: int, dest: int) -> None:
         src_sup = self.sup_of[u]
@@ -71,12 +73,10 @@ class _State:
             return
         for w in self.adj[u]:
             self._bump(src_sup, self.sup_of[w], -1)
-        self.members[src_sup].discard(u)
-        if not self.members[src_sup]:
-            del self.members[src_sup]
-        if dest not in self.members:
-            self.members[dest] = set()
-        self.members[dest].add(u)
+        self.sizes[src_sup] -= 1
+        if not self.sizes[src_sup]:
+            del self.sizes[src_sup]
+        self.sizes[dest] = self.sizes.get(dest, 0) + 1
         self.sup_of[u] = dest
         for w in self.adj[u]:
             self._bump(dest, self.sup_of[w], 1)
@@ -89,7 +89,7 @@ class _State:
         before = self.sup_cost(src_sup) + self.sup_cost(dest) - self.pair_cost(src_sup, dest)
         self.move(u, dest)
         after = self.sup_cost(src_sup) + self.sup_cost(dest) - self.pair_cost(src_sup, dest) \
-            if src_sup in self.members else self.sup_cost(dest)
+            if src_sup in self.sizes else self.sup_cost(dest)
         if after >= before:
             self.move(u, src_sup)  # revert
             return False

@@ -6,8 +6,9 @@ best if it reduces cost, otherwise finalize u. Exact flat-model costs
 throughout. Inherently sequential (driver-side); the paper's experiments
 show it timing out on larger graphs, which a wall-clock budget here
 reproduces (a ``None`` summary = OOT, shown as "—" in the tables). The
-partition's optimal flat encoding is returned as a height-1 summary
-(:func:`repro.model.flat.encode_flat`).
+counts, costs, merges and survivor links are the shared helpers of
+:mod:`repro.model.flat`. The partition's optimal flat encoding is
+returned as a height-1 summary (:func:`repro.model.flat.encode_flat`).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 import pandas as pd
 
 from ..graphs.ops import check_edges
-from ..model.flat import encode_flat, merge_into, merged_counts, supernode_cost
+from ..model.flat import encode_flat, find, merge_into, merged_counts, supernode_cost
 from ..model.summary import SummaryResult
 
 MAX_CANDIDATES = 200  # 2-hop candidates scored per pick; more are sampled down
@@ -37,12 +38,6 @@ def randomized(
     rng = random.Random(seed)
     # supernode-level state
     parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while v in parent:
-            v = parent[v]
-        return v
-
     sizes: dict[int, int] = {u: 1 for u in range(n_sub)}
     cnt: dict[int, dict[int, int]] = {u: defaultdict(int) for u in range(n_sub)}
     for s, d in zip(edges["src"].astype(int), edges["dst"].astype(int)):
@@ -75,9 +70,10 @@ def randomized(
             unfinished.discard(u)
             continue
         v = best
-        merge_into(cnt, sizes, u, v)
+        merge_into(cnt, u, v, u)
+        sizes[u] += sizes.pop(v)
         parent[v] = u
         unfinished.discard(v)
         unfinished.add(u)
-    group = np.array([find(u) for u in range(n_sub)], dtype=np.int64)
+    group = np.array([find(parent, u) for u in range(n_sub)], dtype=np.int64)
     return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

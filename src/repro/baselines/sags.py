@@ -4,8 +4,12 @@ SAGS skips cost evaluation entirely: it buckets nodes by banded min-hash
 signatures of their neighborhoods (H hash functions, B bands) and merges
 bucket-mates blindly with probability P. This makes it the fastest and
 least concise method in the paper's evaluation — the behaviour this
-reproduction preserves. The partition's optimal flat encoding is returned
-as a height-1 summary (:func:`repro.model.flat.encode_flat`).
+reproduction preserves. Each signature row is
+:func:`repro.core.hashing.min_hash`, SLUGGER's shingle kernel, with
+coefficients drawn from SAGS's own generator; bucket-mates are joined
+through :func:`repro.model.flat.find`. The partition's optimal flat
+encoding is returned as a height-1 summary
+(:func:`repro.model.flat.encode_flat`).
 """
 from __future__ import annotations
 
@@ -14,9 +18,9 @@ import time
 import numpy as np
 import pandas as pd
 
-from ..core.hashing import P31
+from ..core.hashing import P31, min_hash
 from ..graphs.ops import check_edges
-from ..model.flat import encode_flat
+from ..model.flat import encode_flat, find
 from ..model.summary import SummaryResult
 
 # the paper's settings
@@ -36,25 +40,15 @@ def sags(edges: pd.DataFrame, n_sub: int, *, seed: int = 0) -> SummaryResult:
     for i in range(H):
         a = int(g.integers(1, P31))
         c = int(g.integers(0, P31))
-        hv = (a * np.arange(n_sub, dtype=np.int64) + c) % P31
-        m = hv.copy()
-        np.minimum.at(m, src, hv[dst])
-        np.minimum.at(m, dst, hv[src])
-        sig[i] = m
+        sig[i] = min_hash(src, dst, n_sub, a, c)
     r = H // B  # rows per band
     parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while v in parent:
-            v = parent[v]
-        return v
-
     for band in range(B):
         rows = sig[band * r : (band + 1) * r]
         # bucket nodes on the band slice
         df = pd.DataFrame({"key": [tuple(rows[:, v]) for v in range(n_sub)]})
         for _, idx in df.groupby("key").groups.items():
-            members = list({find(int(v)) for v in idx})
+            members = list({find(parent, int(v)) for v in idx})
             if len(members) < 2:
                 continue
             g.shuffle(members)
@@ -63,5 +57,5 @@ def sags(edges: pd.DataFrame, n_sub: int, *, seed: int = 0) -> SummaryResult:
             for v in members[1:]:
                 if g.random() < P:
                     parent[v] = head
-    group = np.array([find(u) for u in range(n_sub)], dtype=np.int64)
+    group = np.array([find(parent, u) for u in range(n_sub)], dtype=np.int64)
     return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

@@ -10,7 +10,9 @@ SLUGGER's executor, :func:`repro.core.candidates.run_groups` (in-process,
 or one ``mapInPandas`` job over pickled per-group bundles, no shuffle);
 counts are recomputed from the edge set between rounds (distributed
 SWeG's per-round staleness model), read from the flat encoder's
-:class:`repro.model.flat.PairTable`.
+:class:`repro.model.flat.PairTable`. A merge folds the counts with
+:func:`repro.model.flat.merge_into`, as SLUGGER's group worker does, and
+the driver resolves each round's merges with :func:`repro.model.flat.find`.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import pandas as pd
 
 from ..core import candidates
 from ..graphs.ops import check_edges
-from ..model.flat import PairTable, encode_flat, merge_into, merged_counts, supernode_cost
+from ..model.flat import PairTable, encode_flat, find, merge_into, merged_counts, supernode_cost
 from ..model.summary import SummaryResult
 
 if TYPE_CHECKING:
@@ -54,7 +56,8 @@ class _SwegGroup:
     def _merge(self, a: int, b: int) -> None:
         # cross-group neighbors are stale till the driver recomputes
         # counts next round
-        merge_into(self.cnt, self.sizes, a, b)
+        merge_into(self.cnt, a, b, a)
+        self.sizes[a] += self.sizes.pop(b)
         self.sups.discard(b)
         self.merges.append((a, b))
 
@@ -155,11 +158,5 @@ def sweg(
         results = candidates.run_groups(_run_group, bundles, (t, T, seed),
                                         spark if engine == "spark" else None)
         remap = {b: a for merges in results for a, b in merges}
-
-        def find(v: int) -> int:
-            while v in remap:
-                v = remap[v]
-            return v
-
-        group = np.array([find(v) for v in tab.ids.tolist()], dtype=np.int64)[tab.g]
+        group = np.array([find(remap, v) for v in tab.ids.tolist()], dtype=np.int64)[tab.g]
     return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
+from ..model.flat import merge_into
 from ..model.summary import Forest, SignedEdges, canon
 from . import localenc as L
 
@@ -420,24 +421,9 @@ class GroupWorker:
             self.zero_internal.pop(a, 0) + self.zero_internal.pop(b, 0) + 1
         )
         self.inc[u] = self.inc[a] + self.inc[b] - self.pcnt(a, b)
-        pu: dict[int, int] = defaultdict(int)
-        for other, cnt in list(self.pmap[a].items()) + list(self.pmap[b].items()):
-            if other not in (a, b):
-                pu[other] += cnt
-        # within-U count: within-A + within-B + cross(A,B), cross counted once
-        pu[u] = (
-            self.pmap[a].get(a, 0) + self.pmap[b].get(b, 0) + self.pmap[a].get(b, 0)
-        )
-        if pu[u] == 0:
-            del pu[u]
-        self.pmap[u] = pu
-        for other in list(pu.keys()):
-            if other == u:
-                continue
-            om = self.pmap[other]
-            om[u] = om.pop(a, 0) + om.pop(b, 0)
-            if om[u] == 0:
-                del om[u]
+        # root-pair counts are the flat model's supernode-pair counts; a
+        # count left at 0 reads as absent, as pmap is read only by pcnt
+        merge_into(self.pmap, a, b, u)
         self.roots.discard(a)
         self.roots.discard(b)
         self.roots.add(u)

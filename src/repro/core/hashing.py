@@ -12,6 +12,9 @@ reduce the encoding cost (Lemma 1). A root merged from two of them keeps
 the shingle, as it contains both subnodes.
 
 Shingles are computed with vectorized numpy in the driver loop.
+:func:`min_hash` (per node, the min of a linear hash over N[v]) is the
+one min-hash kernel: SAGS's signatures call it with their own
+coefficients.
 """
 from __future__ import annotations
 
@@ -32,18 +35,23 @@ def node_hash_np(n: int, a: int, b: int) -> np.ndarray:
     return (a * v + b) % P31
 
 
+def min_hash(src: np.ndarray, dst: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
+    """Per node v < ``n``, the min of ``h(w) = (a·w + b) mod p`` over
+    N[v] = N(v) ∪ {v}, N taken from the edges ``(src, dst)``."""
+    h = node_hash_np(n, a, b)
+    m = h.copy()
+    np.minimum.at(m, src, h[dst])
+    np.minimum.at(m, dst, h[src])
+    return m
+
+
 def shingles_np(
     edges: pd.DataFrame, leaf_root: np.ndarray, seed: int, t: int
 ) -> pd.DataFrame:
     """(root, shingle) for every current root — numpy fast path."""
-    n = len(leaf_root)
-    a, b = hash_params(seed, t)
-    h = node_hash_np(n, a, b)
-    m = h.copy()
     src = edges["src"].to_numpy(dtype=np.int64)
     dst = edges["dst"].to_numpy(dtype=np.int64)
-    np.minimum.at(m, src, h[dst])
-    np.minimum.at(m, dst, h[src])
+    m = min_hash(src, dst, len(leaf_root), *hash_params(seed, t))
     df = pd.DataFrame({"root": leaf_root, "m": m})
     out = df.groupby("root", as_index=False)["m"].min()
     return out.rename(columns={"m": "shingle"})

@@ -20,7 +20,7 @@ from ..graphs import datasets
 from ..graphs import generators as gen
 from ..graphs.generators import n_nodes
 from ..model.cost import metrics
-from .harness import load_dataset, run_method
+from .harness import METHODS, load_dataset, run_method
 
 if TYPE_CHECKING:
     from pyspark.sql import SparkSession
@@ -41,7 +41,7 @@ def fig5_compactness(
 ) -> pd.DataFrame:
     """Fig. 5(a)+(b): relative size (Eq. 10/11) and runtime per method."""
     names = names or DEFAULT_DATASETS
-    methods = methods or ["slugger", "sweg", "sags", "randomized", "mosso"]
+    methods = methods or METHODS
     rows = []
     for name in names:
         edges, n = load_dataset(name, scale, seed)

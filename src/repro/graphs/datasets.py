@@ -2,8 +2,8 @@
 
 Each entry maps an analogue name to a generator config at two scales:
 ``test`` (unit/integration tests, ~1–3k edges) and ``bench`` (table
-harnesses, ~15–60k edges). ``PAPER_ANALOGUE`` records which paper
-datasets each analogue stands in for, so EXPERIMENTS.md can quote the
+harnesses, ~15–60k edges). ``DatasetSpec.paper_analogue`` records which
+paper datasets each analogue stands in for, so EXPERIMENTS.md can quote the
 paper's numbers next to ours.
 """
 from __future__ import annotations

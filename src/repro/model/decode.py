@@ -134,8 +134,11 @@ def decode_pd(summary: HierSummary) -> pd.DataFrame:
 
 
 def assert_lossless_pd(summary: HierSummary, edges: pd.DataFrame) -> None:
-    """Assert the summary decodes exactly to ``edges`` (pandas path)."""
-    got = decode_pd(summary)
-    want = edges.sort_values(["src", "dst"]).reset_index(drop=True)
-    got = got.sort_values(["src", "dst"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want[["src", "dst"]].astype(np.int64))
+    """Assert the summary decodes exactly to ``edges`` (pandas path). An
+    input edge may come in either orientation, as every summarizer accepts
+    it; the decoder gives each as (min, max)."""
+    src, dst = (edges[c].to_numpy(dtype=np.int64) for c in ("src", "dst"))
+    want = pd.DataFrame({"src": np.minimum(src, dst), "dst": np.maximum(src, dst)})
+    want = want.sort_values(["src", "dst"]).reset_index(drop=True)
+    got = decode_pd(summary).sort_values(["src", "dst"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want)

@@ -17,8 +17,17 @@ as the final step of SWEG / SAGS / RANDOMIZED / MOSSO, pruning Step 3
 cheaper, and SWEG's rounds read their per-pair counts from the table.
 The flat model is the hierarchical one with trees of height 1
 (Sect. II-B), so there is no flat summary type: the encoding is a
-:class:`repro.model.summary.HierSummary`. The dict helpers below serve
-the baselines' greedy merge searches.
+:class:`repro.model.summary.HierSummary`.
+
+The dict helpers below are the one copy of each greedy-merge primitive,
+over symmetric per-supernode pair counts ``cnt[a][x]`` (key ``a`` for the
+pairs inside A): :func:`pair_cost` and :func:`supernode_cost` price a
+supernode's pairs (Eq. 11) for SWEG, RANDOMIZED and MOSSO,
+:func:`merged_counts` gives A∪B's counts, :func:`merge_into` folds two
+supernodes into one (SWEG and RANDOMIZED keep the first id; SLUGGER's
+group worker folds its root-pair counts into the new root) and
+:func:`find` follows absorbed ids to their survivor (SWEG, RANDOMIZED,
+SAGS).
 """
 from __future__ import annotations
 
@@ -145,15 +154,29 @@ def merged_counts(cnt: dict[int, dict[int, int]], a: int, b: int) -> dict[int, i
     return merged
 
 
-def merge_into(cnt: dict[int, dict[int, int]], sizes: dict[int, int], a: int, b: int) -> None:
-    """Fold supernode ``b`` into ``a``: ``cnt[a]`` becomes
-    :func:`merged_counts`, ``cnt[b]`` and ``sizes[b]`` go, and every
-    neighbour held in ``cnt`` re-keys its count to ``a`` at the end of its
-    dict (a neighbour held elsewhere keeps its stale count)."""
-    cnt[a] = merged = merged_counts(cnt, a, b)
+def merge_into(cnt: dict[int, dict[int, int]], a: int, b: int, u: int) -> None:
+    """Fold supernodes ``a`` and ``b`` into ``u`` (``a`` itself, or a new
+    id): ``cnt[u]`` becomes :func:`merged_counts` with the pairs inside
+    under ``u``, ``cnt[a]`` and ``cnt[b]`` go (when ``u == a``, ``cnt[a]``
+    keeps its place in ``cnt``), and every neighbour held in ``cnt``
+    re-keys its count to ``u`` at the end of its dict (a neighbour held
+    elsewhere keeps its stale count). Sizes are the caller's to update."""
+    merged = merged_counts(cnt, a, b)
     del cnt[b]
+    if u != a:
+        del cnt[a]
+        if a in merged:
+            merged[u] = merged.pop(a)
+    cnt[u] = merged
     for x in merged:
-        if x != a and x in cnt:
+        if x != u and x in cnt:
             m = cnt[x]
-            m[a] = m.pop(a, 0) + m.pop(b, 0)
-    sizes[a] += sizes.pop(b)
+            m[u] = m.pop(a, 0) + m.pop(b, 0)
+
+
+def find(parent: dict[int, int], v: int) -> int:
+    """The survivor ``v`` was folded into: ``parent`` links each absorbed
+    id to the id it was merged into, followed to the end."""
+    while v in parent:
+        v = parent[v]
+    return v

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.errors import PySparkException
 
+from repro.baselines.sweg import sweg
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
 from repro.model.decode import assert_lossless_pd, decode, decode_pd
@@ -130,6 +131,16 @@ class TestDecodePandas:
         # the Spark decode's check: an edge that would decode to nothing
         with pytest.raises(ValueError, match="contains no subnode"):
             read(make())
+
+
+@pytest.mark.parametrize("method", [slugger, sweg], ids=["slugger", "sweg"])
+def test_assert_lossless_accepts_either_orientation(method):
+    # every summarizer accepts an edge as (src, dst) or (dst, src); the
+    # decoder gives it back as (min, max), so the check must canonicalize
+    e = gen.caveman_cliques(36, clique_size=6, seed=0)
+    flipped = pd.DataFrame({"src": e["dst"], "dst": e["src"]})
+    assert (flipped["src"] > flipped["dst"]).all()
+    assert_lossless_pd(method(flipped, 36, T=3, seed=0).summary, flipped)
 
 
 class TestDecodeSpark:

@@ -528,6 +528,50 @@ def test_run_group_ignores_edge_order(seed, n_roots, order, t):
     assert sorted(e1) == sorted(e2)
 
 
+def assert_counts_match_recount(w):
+    """The worker's root-pair counts (through ``pcnt``, both orders, self
+    pairs included), ``inc`` per root, ``ndeg`` per node and ``eff_h`` per
+    root equal a recount from ``w.edges``, ``w.ext_adj`` and ``treeof``."""
+    pairs, inc, deg = Counter(), Counter(), Counter()
+    for x, y in w.edges:
+        rx, ry = w.treeof(x), w.treeof(y)
+        pairs[frozenset((rx, ry))] += 1
+        inc[rx] += 1
+        deg[x] += 1
+        if ry != rx:
+            inc[ry] += 1
+        if y != x:
+            deg[y] += 1
+    for x, ext in w.ext_adj.items():
+        inc[w.treeof(x)] += len(ext)
+        deg[x] += len(ext)
+    roots = sorted(w.roots)
+    for a, b in itertools.combinations_with_replacement(roots, 2):
+        assert w.pcnt(a, b) == w.pcnt(b, a) == pairs[frozenset((a, b))], (a, b)
+    assert {v: d for v, d in w.ndeg.items() if d} == +deg
+    for r in roots:
+        assert w.inc[r] == inc[r], r
+        tree = w.forest.tree(r)
+        edgeless = sum(1 for v in tree if w.forest.children.get(v) and not deg[v])
+        assert w.eff_h(r) == len(tree) - 1 - edgeless, r
+
+
+@given(seed=st.integers(0, 10**4), n_roots=st.integers(3, 9), n_merges=st.integers(1, 4),
+       pick=st.randoms())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_counts_match_recount_through_merges(seed, n_roots, n_merges, pick):
+    """The bookkeeping Saving reads (``pcnt``, ``inc``, ``ndeg``, ``eff_h``)
+    stays equal to a recount through random merges of a random group."""
+    w = make_worker(**random_group(seed, n_roots))
+    assert_counts_match_recount(w)
+    for seq in range(n_merges):
+        if len(w.roots) < 2:
+            break
+        a, b = pick.sample(sorted(w.roots), 2)
+        w.merge(a, b, gm.new_id(1, 0, seq))
+        assert_counts_match_recount(w)
+
+
 def bundle(roots, nodes=None, hedges=(), pedges=(), ext=()):
     """A group bundle; ``nodes`` defaults to one singleton per root."""
     if nodes is None:
