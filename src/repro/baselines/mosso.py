@@ -9,8 +9,11 @@ probability e, then samples up to c candidate supernodes from the
 neighbors of the other endpoint and greedily moves into the best one if
 the exact flat-model cost drops. Substitution documented in DESIGN.md
 §3.3: preserves "online method, compression between RANDOMIZED and the
-offline methods, slow on large inputs" (OOT = a ``None`` summary). The
-final partition's optimal flat encoding is returned as a height-1 summary
+offline methods, slow on large inputs". Slow means over a fixed work
+budget, not a wall clock: a run that makes more than ``MAX_UPDATES``
+neighbour updates returns a ``None`` summary (OOT, "over budget"), so the
+verdict depends only on the input and the seed. The final partition's
+optimal flat encoding is returned as a height-1 summary
 (:func:`repro.model.flat.encode_flat`). The state keeps each supernode's
 size and pair counts, and prices a supernode with
 :func:`repro.model.flat.supernode_cost`.
@@ -31,6 +34,9 @@ from ..model.summary import SummaryResult
 # the paper's settings
 E = 0.3  # escape probability per endpoint and edge
 C = 120  # candidate supernodes sampled per move
+# pair-count updates per run: each move, reverts included, makes two per
+# neighbour of the moved subnode; beyond them the run is OOT (DESIGN.md §3.3)
+MAX_UPDATES = 60_000_000
 
 
 class _State:
@@ -40,6 +46,7 @@ class _State:
         self.adj: dict[int, set[int]] = defaultdict(set)  # subnode graph so far
         # supernode-pair subedge counts, none held at 0
         self.cnt: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+        self.updates = 0  # _bump calls made by move
 
     def _bump(self, a: int, b: int, d: int) -> None:
         # symmetric store: cnt[a][b] == cnt[b][a]
@@ -71,6 +78,7 @@ class _State:
         src_sup = self.sup_of[u]
         if src_sup == dest:
             return
+        self.updates += 2 * len(self.adj[u])
         for w in self.adj[u]:
             self._bump(src_sup, self.sup_of[w], -1)
         self.sizes[src_sup] -= 1
@@ -101,8 +109,9 @@ def mosso(
     n_sub: int,
     *,
     seed: int = 0,
-    time_limit_s: float = 600.0,
 ) -> SummaryResult:
+    """MOSSO's summary of ``edges``, or ``None`` if the stream makes more
+    than ``MAX_UPDATES`` neighbour updates (OOT); ``elapsed_s`` either way."""
     check_edges(edges, n_sub)
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -110,9 +119,7 @@ def mosso(
     order = list(zip(edges["src"].astype(int), edges["dst"].astype(int)))
     rng.shuffle(order)
     fresh = n_sub  # ids for escape singletons
-    for i, (u, v) in enumerate(order):
-        if i % 256 == 0 and time.perf_counter() - t0 > time_limit_s:
-            return SummaryResult(None, time.perf_counter() - t0)
+    for u, v in order:
         st.add_edge(u, v)
         for x, other in ((u, v), (v, u)):
             if rng.random() < E:
@@ -130,5 +137,7 @@ def mosso(
                 if moved:
                     break
                 moved = st.try_move(x, st.sup_of[w])
+        if st.updates > MAX_UPDATES:
+            return SummaryResult(None, time.perf_counter() - t0)
     group = np.array(st.sup_of, dtype=np.int64)
     return SummaryResult(encode_flat(edges, group), time.perf_counter() - t0)

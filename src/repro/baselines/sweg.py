@@ -104,11 +104,11 @@ def _run_group(gid: int, bundle: tuple, t: int, big_t: int, seed: int) -> list[t
     ``bundle`` is (members, sizes {supernode: size} for members and their
     neighbors, counts (member, other, subedges))."""
     sups, sizes, counts = bundle
-    theta = 1.0 / (1 + t) if t < big_t else 0.0
     cnt: dict[int, dict[int, int]] = {s: {} for s in sups}
     for x, y, e in counts:
         cnt[x][y] = e
-    g = _SwegGroup(theta, (seed * 999_983 + t * 613 + gid) & 0x7FFFFFFF, sups, dict(sizes), cnt)
+    g = _SwegGroup(candidates.theta(t, big_t), (seed * 999_983 + t * 613 + gid) & 0x7FFFFFFF,
+                   sups, dict(sizes), cnt)
     g.run()
     return g.merges
 

@@ -18,7 +18,8 @@ distance filter and no adjacency (DESIGN.md §3.2).
 :func:`run_groups` then runs one function on every group, in-process or
 as one Spark ``mapInPandas`` job over pickled per-group bundles
 (:func:`map_bundles`: no shuffle; an Arrow batch carries many groups).
-SLUGGER and SWEG share it; the Spark decoder uses ``map_bundles`` too.
+SLUGGER and SWEG share it and the threshold :func:`theta` that their group
+workers merge at; the Spark decoder uses ``map_bundles`` too.
 """
 from __future__ import annotations
 
@@ -113,6 +114,12 @@ def map_bundles(
 
     rows = pd.DataFrame({"b": [pickle.dumps(x) for x in bundles]}, dtype=object)
     return spark.createDataFrame(rows, schema="b binary").mapInPandas(apply, schema=schema)
+
+
+def theta(t: int, big_t: int) -> float:
+    """The merge threshold θ(t) = 1/(1+t) of iteration t (Eq. 9), and 0 on
+    the last one (t = T), so every positive saving merges then."""
+    return 1.0 / (1 + t) if t < big_t else 0.0
 
 
 def run_groups(

@@ -45,7 +45,7 @@ from collections import defaultdict
 
 from ..model.flat import merge_into
 from ..model.summary import Forest, SignedEdges, canon
-from . import localenc as L
+from . import candidates, localenc as L
 
 # one group's worker input: (roots, nodes(x, size, root), hedges(parent,
 # child), pedges(x, y, sign), ext(member, external, sign)); no adjacency,
@@ -510,8 +510,7 @@ def run_group(gid: int, bundle: Bundle, t: int, big_t: int, seed: int,
     so every pair is scored."""
     if len(bundle[0]) < 2:
         return [], bundle[3]  # nothing to merge with
-    theta = 1.0 / (1 + t) if t < big_t else 0.0
-    w = GroupWorker(gid, t, theta, (seed * 1_000_003 + t * 7919 + gid) & 0x7FFFFFFF,
-                    hb, *bundle)
+    w = GroupWorker(gid, t, candidates.theta(t, big_t),
+                    (seed * 1_000_003 + t * 7919 + gid) & 0x7FFFFFFF, hb, *bundle)
     w.run()
     return w.output()

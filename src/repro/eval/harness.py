@@ -4,7 +4,8 @@ Every method returns a :class:`repro.model.summary.HierSummary` (the
 baselines' has height-1 trees, whose Eq. 10 size is their Eq. 11), so
 every record comes from the same :func:`repro.model.cost.metrics` and the
 table builders in :mod:`repro.eval.tables` can mix them. ``None``-valued
-metrics mark OOT runs (the paper reports those as missing bars).
+metrics mark OOT runs: RANDOMIZED or MOSSO runs over their fixed work
+budgets (the paper reports those as missing bars).
 The keywords ``engine="local"`` and ``spark=None`` mean what they mean in
 ``slugger`` and ``sweg``: only ``engine="spark"`` reads the session, and
 the other methods ignore both.
@@ -44,9 +45,9 @@ def run_method(
     T: int = 20,
     engine: str = "local",
     spark: SparkSession | None = None,
-    time_limit_s: float = 600.0,
 ) -> dict:
-    """Run one summarizer; returns {method, relative_size, elapsed_s, ...}."""
+    """Run one summarizer; returns {method, relative_size, elapsed_s, ...}.
+    An OOT run's record holds only the first three, with relative_size None."""
     if method == "slugger":
         res = slugger(edges, n_sub, T=T, seed=seed, engine=engine, spark=spark)
     elif method == "sweg":
@@ -54,9 +55,9 @@ def run_method(
     elif method == "sags":
         res = sags(edges, n_sub, seed=seed)
     elif method == "randomized":
-        res = randomized(edges, n_sub, seed=seed, time_limit_s=time_limit_s)
+        res = randomized(edges, n_sub, seed=seed)
     elif method == "mosso":
-        res = mosso(edges, n_sub, seed=seed, time_limit_s=time_limit_s)
+        res = mosso(edges, n_sub, seed=seed)
     else:
         raise ValueError(f"unknown method {method}")
     if res.summary is None:

@@ -124,7 +124,7 @@ class HierSummary:
 @dataclass
 class SummaryResult:
     """A summarizer's output and the run's wall time. ``summary`` is None
-    when a time-limited baseline ran out of time (OOT)."""
+    when RANDOMIZED or MOSSO went over its fixed work budget (OOT)."""
 
     summary: HierSummary | None
     elapsed_s: float

@@ -2,9 +2,14 @@
 pinned output, argument checks. Every baseline returns a height-1
 ``HierSummary``, so the summary model's own validate, metrics, decoders
 and digest serve them as they serve SLUGGER."""
+import itertools
+import types
+
 import pandas as pd
 import pytest
 
+from repro.baselines import mosso as mosso_module
+from repro.baselines import randomized as randomized_module
 from repro.baselines import sags as sags_module
 from repro.baselines.mosso import mosso
 from repro.baselines.randomized import randomized
@@ -149,9 +154,10 @@ class TestRandomized:
         res = randomized(edges, n, seed=0)
         assert metrics(res.summary, len(edges)).relative_size < 0.7
 
-    def test_oot_returns_none(self):
+    def test_oot_returns_none(self, monkeypatch):
+        monkeypatch.setattr(randomized_module, "MAX_EVALS", 0)
         edges, n = gen.caveman_cliques(60, clique_size=6, seed=0), 60
-        res = randomized(edges, n, seed=0, time_limit_s=0.0)
+        res = randomized(edges, n, seed=0)
         assert res.summary is None
 
 
@@ -171,15 +177,32 @@ class TestMosso:
         assert res.summary is not None
         _lossless(res.summary, edges)
 
-    def test_oot_returns_none(self):
+    def test_oot_returns_none(self, monkeypatch):
+        monkeypatch.setattr(mosso_module, "MAX_UPDATES", 0)
         edges, n = gen.er(60, 5.0, seed=0), 60
-        res = mosso(edges, n, seed=0, time_limit_s=0.0)
+        res = mosso(edges, n, seed=0)
         assert res.summary is None
 
     def test_groups_clique_nodes(self):
         edges, n = gen.clique(10), 10
         res = mosso(edges, n, seed=1)
         assert n_supernodes(res.summary) < 10
+
+
+class TestWorkBudget:
+    """OOT is a work budget, not a wall clock: under a clock that jumps an
+    hour per reading, RANDOMIZED and MOSSO still give their golden digests."""
+
+    @pytest.fixture(autouse=True)
+    def jumping_clock(self, monkeypatch):
+        clock = itertools.count(0.0, 3600.0)
+        fake = types.SimpleNamespace(perf_counter=lambda: next(clock))
+        for module in (randomized_module, mosso_module):
+            monkeypatch.setattr(module, "time", fake)
+
+    # the golden tests themselves, with their digests, under the fixture
+    test_randomized_golden = TestRandomized.test_golden
+    test_mosso_golden = TestMosso.test_golden
 
 
 class TestOrdering:

@@ -3,6 +3,7 @@ qualitative shapes (Table III monotonicity, Table IV/V trends)."""
 import pandas as pd
 import pytest
 
+from repro.baselines import randomized as randomized_module
 from repro.eval import tables
 from repro.eval.harness import format_table, run_method
 from repro.graphs import generators as gen
@@ -18,9 +19,10 @@ class TestRunMethod:
         assert {"method", "relative_size", "elapsed_s", "frac_p"} <= set(rec)
         assert 0 < rec["relative_size"] <= 1.5
 
-    def test_oot_record(self):
+    def test_oot_record(self, monkeypatch):
+        monkeypatch.setattr(randomized_module, "MAX_EVALS", 0)
         edges = gen.caveman_cliques(36, clique_size=6, seed=0)
-        rec = run_method("randomized", edges, 36, time_limit_s=0.0)
+        rec = run_method("randomized", edges, 36)
         assert rec["relative_size"] is None
 
     def test_unknown_method_raises(self):

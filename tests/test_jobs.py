@@ -26,7 +26,7 @@ JOBS = [
     ["jobs/fig6_composition.py", "--scale", "test", "--T", "2",
      "--datasets", "ppi_like"],
     ["jobs/fig5_compactness.py", "--scale", "test", "--T", "2",
-     "--datasets", "ppi_like", "--time-limit", "10"],
+     "--datasets", "ppi_like"],
     ["jobs/scalability.py", "--base-n", "400"],
 ]
 
@@ -37,7 +37,6 @@ def run_python(args: list[str]) -> str:
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(p for p in path if p),
-        "SPARK_SHUFFLE_PARTITIONS": "4",
     }
     proc = subprocess.run(
         [sys.executable, *args],
