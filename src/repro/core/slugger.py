@@ -44,7 +44,8 @@ def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], gid_of: dict[
 
     ``bundles[gid]`` is ``(roots, nodes(x, size, root), hedges(p, c),
     pedges(x, y, s), ext(x, y, s))``, see
-    :func:`repro.core.groupmerge.run_group`.
+    :func:`repro.core.groupmerge.run_group`. ``ext`` stays empty in a
+    group with a single root; every cross edge still goes to ``cross``.
     """
     bundles: dict[int, groupmerge.Bundle] = {}
     # roots + their trees
@@ -68,8 +69,12 @@ def _tall_rows(forest: Forest, pedges: list[tuple[int, int, int]], gid_of: dict[
             bundles[gx][3].append(e)
         else:
             cross.append(e)
-            bundles[gx][4].append(e)
-            bundles[gy][4].append((y, x, s))
+            # a single-root group cannot merge and never reads its ext
+            bx, by = bundles[gx], bundles[gy]
+            if len(bx[0]) > 1:
+                bx[4].append(e)
+            if len(by[0]) > 1:
+                by[4].append((y, x, s))
     return bundles, cross
 
 

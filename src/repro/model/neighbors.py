@@ -6,22 +6,24 @@ walks once: parents and leaf lists from the summary's
 :class:`repro.model.summary.Forest` (``parent`` and ``members()``) and
 the incident p/n-edges, rejecting an edge to a supernode with no subnode
 as the decoders do (``checked_pedges``). ``neighbors(v)`` then climbs
-v's ancestor chain, accumulates signed counts over the leaf sets of
-adjacent supernodes and returns the subnodes with net count 1.
+v's ancestor chain, gathers the leaf lists of the supernodes adjacent to
+it by sign, counts them with ``collections.Counter`` (in C), subtracts
+the n-edge counts and returns the subnodes with net count 1.
 This is the access path that lets BFS/PageRank/Dijkstra run directly on
 a summary (Sect. VIII-C).
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from .summary import Forest, HierSummary, checked_pedges
 
 
 class NeighborIndex:
-    """Indexed summary supporting O(output)-ish neighbor queries. Raises
-    ValueError if a p/n-edge names an unknown id or a supernode that
-    contains no subnode."""
+    """Indexed summary supporting neighbor queries whose cost is the
+    number of members adjacent to the query's ancestor chain, counted in
+    C. Raises ValueError if a p/n-edge names an unknown id or a supernode
+    that contains no subnode."""
 
     def __init__(self, summary: HierSummary):
         self.summary = summary
@@ -35,26 +37,30 @@ class NeighborIndex:
                 self.inc[y].append((x, s))
 
     def neighbors(self, v: int) -> list[int]:
-        """One-hop neighbors of subnode v in the decoded graph (Alg. 4).
-        Raises ValueError unless ``0 <= v < n_sub``: a supernode id or an
-        id outside the graph names no subnode."""
+        """One-hop neighbors of subnode v in the decoded graph (Alg. 4),
+        sorted. Raises ValueError unless ``0 <= v < n_sub``: a supernode
+        id or an id outside the graph names no subnode. Raises
+        AssertionError if a subnode other than v has net coverage outside
+        {0, 1}, as the decoders do."""
         if not 0 <= v < self.summary.n_sub:
             raise ValueError(f"{v} is not a subnode id in [0, n_sub={self.summary.n_sub})")
-        count: dict[int, int] = defaultdict(int)
+        # each sign's member lists along v's chain, counted in C by Counter;
+        # a self-loop (y == x) covers every member pair, v's included
+        pos, neg = [], []
         node = v
-        chain = []
-        while True:
-            chain.append(node)
-            if node not in self.parent:
-                break
-            node = self.parent[node]
-        for x in chain:
-            # a self-loop (y == x) covers every member pair, v's included
-            for y, s in self.inc.get(x, []):
-                for u in self.members[y]:
-                    count[u] += s
-        out = [u for u, c in count.items() if c == 1 and u != v]
-        bad = [u for u, c in count.items() if u != v and c not in (0, 1)]
+        while node is not None:
+            for y, s in self.inc.get(node, ()):
+                (pos if s > 0 else neg).extend(self.members[y])
+            node = self.parent.get(node)
+        count = Counter(pos)
+        count.subtract(neg)
+        count.pop(v, None)
+        out, bad = [], []
+        for u, c in count.items():
+            if c == 1:
+                out.append(u)
+            elif c:
+                bad.append(u)
         assert not bad, f"net coverage outside {{0,1}} at {bad[:5]}"
         return sorted(out)
 

@@ -1,5 +1,6 @@
-"""Decoder tests: pandas/Spark agreement, oracle cross-checks, and the
-net-coverage and self-pair guards that catch encoding bugs."""
+"""Decoder tests: pandas/Spark agreement, oracle cross-checks, the
+net-coverage and self-pair guards that catch encoding bugs, and the
+neighbour queries of Algorithm 4 against the full decode."""
 import pandas as pd
 import pytest
 from pyspark.errors import PySparkException
@@ -7,6 +8,7 @@ from pyspark.errors import PySparkException
 from repro.baselines.sweg import sweg
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
+from repro.graphs.ops import adjacency_dict
 from repro.model.decode import assert_lossless_pd, decode, decode_pd
 from repro.model.neighbors import NeighborIndex
 from repro.model.summary import HierSummary
@@ -131,6 +133,24 @@ class TestDecodePandas:
         # the Spark decode's check: an edge that would decode to nothing
         with pytest.raises(ValueError, match="contains no subnode"):
             read(make())
+
+
+class TestNeighborIndex:
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_matches_decode_on_hand_built(self, name):
+        # n-edges on ancestor chains, p-loops and masked pairs
+        s = HAND_BUILT[name]()
+        want = adjacency_dict(decode_pd(s))
+        idx = NeighborIndex(s)
+        for v in range(s.n_sub):
+            assert idx.neighbors(v) == sorted(want.get(v, ())), v
+
+    @pytest.mark.parametrize("make", [double_cover, double_cover_across_trees],
+                             ids=["double_cover", "double_cover_across_trees"])
+    def test_net_guard(self, make):
+        # subnode 0 is in the doubly covered pair of both summaries
+        with pytest.raises(AssertionError, match="net coverage"):
+            NeighborIndex(make()).neighbors(0)
 
 
 @pytest.mark.parametrize("method", [slugger, sweg], ids=["slugger", "sweg"])

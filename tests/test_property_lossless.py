@@ -1,7 +1,8 @@
 """Property-based losslessness: random graphs from mixed generators must
 always decode back exactly, for SLUGGER (pruned & unpruned, height-
 bounded) and for the flat encoder under arbitrary partitions. SLUGGER's
-summary must not depend on the order or orientation of the input rows."""
+summary must not depend on the order or orientation of the input rows,
+and its neighbour queries (Algorithm 4) must give the input adjacency."""
 import numpy as np
 import pandas as pd
 from hypothesis import HealthCheck, given, settings
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from repro.core.pruning import prune
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
+from repro.graphs.ops import adjacency_dict
 from repro.model.cost import cost
 from repro.model.decode import assert_lossless_pd
+from repro.model.neighbors import NeighborIndex
 from tests.test_slugger import digest
 
 SETTINGS = dict(
@@ -78,3 +81,15 @@ def test_slugger_ignores_input_order(kind, n, seed, T, hb):
     want = slugger(edges, n, T=T, seed=seed % 97, hb=hb, engine="local").summary
     got = slugger(shuffled, n, T=T, seed=seed % 97, hb=hb, engine="local").summary
     assert digest(got) == digest(want)
+
+
+@given(kind=st.integers(0, 4), n=st.integers(20, 60), seed=st.integers(0, 10**6),
+       T=st.integers(1, 5), do_prune=st.booleans())
+@settings(**SETTINGS)
+def test_neighbors_equal_input_adjacency(kind, n, seed, T, do_prune):
+    edges = random_graph(kind, n, seed)
+    res = slugger(edges, n, T=T, seed=seed % 97, engine="local", do_prune=do_prune)
+    idx = NeighborIndex(res.summary)
+    adj = adjacency_dict(edges)
+    for v in range(n):
+        assert idx.neighbors(v) == sorted(adj.get(v, ())), v
