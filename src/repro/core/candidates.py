@@ -4,7 +4,7 @@ Roots are grouped by shingle value; oversized groups are recursively
 re-divided with further independent shingles (the paper uses up to 10
 levels; shingle collisions make >3 levels moot at our scale; a level is
 computed only once some group needs it) and finally
-split randomly so no candidate set exceeds ``max_size`` (paper: 500).
+split randomly so no candidate set exceeds ``MAX_SIZE`` (paper: 500).
 Per-iteration seeds vary the candidate sets across iterations.
 
 Every candidate set lies inside one level-0 shingle class: level 0 always
@@ -43,10 +43,9 @@ def assign_groups(
     leaf_root: np.ndarray,
     seed: int,
     t: int,
-    *,
-    max_size: int = MAX_SIZE,
 ) -> pd.DataFrame:
-    """(root, gid): candidate-set id per current root."""
+    """(root, gid): candidate-set id per current root, no set above
+    ``MAX_SIZE`` roots (read at call time)."""
     # level-0 shingles define the base grouping; further levels refine
     # oversized groups only, so each is computed on first use. Every level
     # lists the same roots in the same (sorted) order.
@@ -69,7 +68,7 @@ def assign_groups(
     stack: list[tuple[np.ndarray, int]] = [(np.arange(len(roots)), 0)]
     while stack:
         idx, lvl = stack.pop()
-        must_split = lvl == 0 or len(idx) > max_size
+        must_split = lvl == 0 or len(idx) > MAX_SIZE
         if must_split and lvl < MAX_LEVELS:
             vals = level(lvl)[idx]
             order = np.argsort(vals, kind="stable")
@@ -81,10 +80,10 @@ def assign_groups(
             for s, e in zip(cuts, ends):
                 stack.append((idx[order[s:e]], lvl + 1))
             continue
-        if len(idx) > max_size:  # levels exhausted: random chunking
+        if len(idx) > MAX_SIZE:  # levels exhausted: random chunking
             perm = rng.permutation(idx)
-            for s in range(0, len(perm), max_size):
-                gid[perm[s : s + max_size]] = next_gid
+            for s in range(0, len(perm), MAX_SIZE):
+                gid[perm[s : s + MAX_SIZE]] = next_gid
                 next_gid += 1
             continue
         gid[idx] = next_gid

@@ -39,9 +39,8 @@ class NeighborIndex:
     def neighbors(self, v: int) -> list[int]:
         """One-hop neighbors of subnode v in the decoded graph (Alg. 4),
         sorted. Raises ValueError unless ``0 <= v < n_sub``: a supernode
-        id or an id outside the graph names no subnode. Raises
-        AssertionError if a subnode other than v has net coverage outside
-        {0, 1}, as the decoders do."""
+        id or an id outside the graph names no subnode, and if a subnode
+        other than v has net coverage outside {0, 1}, as the decoders do."""
         if not 0 <= v < self.summary.n_sub:
             raise ValueError(f"{v} is not a subnode id in [0, n_sub={self.summary.n_sub})")
         # each sign's member lists along v's chain, counted in C by Counter;
@@ -61,7 +60,8 @@ class NeighborIndex:
                 out.append(u)
             elif c:
                 bad.append(u)
-        assert not bad, f"net coverage outside {{0,1}} at {bad[:5]}"
+        if bad:
+            raise ValueError(f"net coverage outside {{0,1}} at {bad[:5]}")
         return sorted(out)
 
     def degree(self, v: int) -> int:

@@ -1,10 +1,17 @@
 """Decoder tests: pandas/Spark agreement, oracle cross-checks, the
-net-coverage and self-pair guards that catch encoding bugs, and the
-neighbour queries of Algorithm 4 against the full decode."""
+net-coverage and self-pair guards that catch encoding bugs (also under
+``python -O``), and the neighbour queries of Algorithm 4 against the full
+decode."""
+import os
+import subprocess
+import sys
+import textwrap
+
 import pandas as pd
 import pytest
 from pyspark.errors import PySparkException
 
+import repro
 from repro.baselines.sweg import sweg
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
@@ -100,6 +107,10 @@ EMPTY_ENDPOINT = [
 ]
 EMPTY_ENDPOINT_IDS = ["unknown_id", "childless_internal"]
 
+# a summary whose encoding is broken: every decoder raises ValueError
+BROKEN = [double_cover, double_cover_across_trees, edge_to_ancestor]
+BROKEN_IDS = [f.__name__ for f in BROKEN]
+
 
 class TestDecodePandas:
     def test_identity_roundtrip(self):
@@ -124,7 +135,7 @@ class TestDecodePandas:
         assert (2, 5) not in pairs and (3, 5) not in pairs
 
     def test_net_guard_triggers_on_double_cover(self):
-        with pytest.raises(AssertionError, match="net coverage"):
+        with pytest.raises(ValueError, match="net coverage"):
             decode_pd(double_cover())
 
     @pytest.mark.parametrize("read", [decode_pd, NeighborIndex], ids=["decode_pd", "NeighborIndex"])
@@ -133,6 +144,30 @@ class TestDecodePandas:
         # the Spark decode's check: an edge that would decode to nothing
         with pytest.raises(ValueError, match="contains no subnode"):
             read(make())
+
+
+def test_guards_survive_python_O():
+    # ``python -O`` strips asserts; the decoder guards must still raise
+    script = textwrap.dedent("""
+        import sys
+        sys.path[:0] = sys.argv[1:]
+        from test_decode import double_cover, edge_to_ancestor
+        from repro.model.decode import decode_pd
+        from repro.model.neighbors import NeighborIndex
+        calls = [lambda: decode_pd(double_cover()), lambda: decode_pd(edge_to_ancestor()),
+                 lambda: NeighborIndex(double_cover()).neighbors(0)]
+        bad = []
+        for i, call in enumerate(calls):
+            try:
+                bad.append(f"call {i} returned {call()!r}")
+            except ValueError:
+                pass
+        sys.exit("; ".join(bad) or None)
+    """)
+    paths = [os.path.dirname(os.path.abspath(__file__)), os.path.dirname(repro.__path__[0])]
+    out = subprocess.run([sys.executable, "-O", "-c", script, *paths],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 class TestNeighborIndex:
@@ -149,7 +184,7 @@ class TestNeighborIndex:
                              ids=["double_cover", "double_cover_across_trees"])
     def test_net_guard(self, make):
         # subnode 0 is in the doubly covered pair of both summaries
-        with pytest.raises(AssertionError, match="net coverage"):
+        with pytest.raises(ValueError, match="net coverage"):
             NeighborIndex(make()).neighbors(0)
 
 
@@ -212,6 +247,15 @@ class TestDecodeSpark:
     def test_self_pair_guard(self, spark):
         with pytest.raises(PySparkException, match="self-pair"):
             decode(spark, edge_to_ancestor()).toPandas()
+
+    @pytest.mark.parametrize("make", BROKEN, ids=BROKEN_IDS)
+    def test_same_fault_same_error(self, spark, make):
+        # decode_pd raises ValueError; the Spark action carries its message
+        with pytest.raises(ValueError) as local:
+            decode_pd(make())
+        with pytest.raises(PySparkException) as remote:
+            decode(spark, make()).toPandas()
+        assert str(local.value) in str(remote.value)
 
     def test_job_count_does_not_grow_with_depth(self, spark):
         def chain(depth: int) -> HierSummary:

@@ -1,4 +1,6 @@
 """Shingle and candidate-set tests."""
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -55,6 +57,11 @@ class TestShingles:
 
 
 class TestCandidateSets:
+    def test_max_size_fits_new_id_seq(self):
+        # a group makes fewer merges than it has roots, and new_id numbers
+        # a group's merges in a 10-bit seq field
+        assert candidates.MAX_SIZE <= 1 << 10
+
     def test_partition_of_roots(self):
         e = gen.er(80, 5.0, seed=0)
         lr = np.arange(80, dtype=np.int64)
@@ -62,10 +69,11 @@ class TestCandidateSets:
         assert sorted(g["root"]) == list(range(80))
         assert (g["gid"] >= 0).all()
 
-    def test_max_size_respected(self):
+    def test_max_size_respected(self, monkeypatch):
+        monkeypatch.setattr(candidates, "MAX_SIZE", 10)
         e = gen.clique(60)  # all shingles equal -> forced random splitting
         lr = np.arange(60, dtype=np.int64)
-        g = candidates.assign_groups(e, lr, seed=0, t=1, max_size=10)
+        g = candidates.assign_groups(e, lr, seed=0, t=1)
         assert g.groupby("gid").size().max() <= 10
 
     def test_varies_with_iteration(self):
@@ -152,13 +160,14 @@ class TestLazyLevels:
         lambda: gen.star(40), lambda: gen.clique(30), lambda: gen.er(120, 6.0, seed=4),
         lambda: gen.caveman_cliques(90, clique_size=6, p_rewire=0.1, seed=2),
     ], ids=["star", "clique", "er", "caveman"])
-    def test_equals_eager_levels(self, make, max_size):
+    def test_equals_eager_levels(self, monkeypatch, make, max_size):
+        monkeypatch.setattr(candidates, "MAX_SIZE", max_size)
         e = make()
         n = int(e[["src", "dst"]].max().max()) + 1
         for lr in (np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64) // 3 * 3):
             for seed, t in ((0, 1), (5, 7)):
                 pd.testing.assert_frame_equal(
-                    candidates.assign_groups(e, lr, seed=seed, t=t, max_size=max_size),
+                    candidates.assign_groups(e, lr, seed=seed, t=t),
                     eager_assign_groups(e, lr, seed, t, max_size))
 
     def test_deeper_levels_only_for_oversized_groups(self, monkeypatch):
@@ -173,8 +182,8 @@ class TestLazyLevels:
         candidates.assign_groups(e, lr, seed=3, t=1)
         assert seeds == [3]  # no group above max_size: level 0 only
         seeds.clear()
-        candidates.assign_groups(gen.clique(30), np.arange(30, dtype=np.int64),
-                                 seed=3, t=1, max_size=10)
+        monkeypatch.setattr(candidates, "MAX_SIZE", 10)
+        candidates.assign_groups(gen.clique(30), np.arange(30, dtype=np.int64), seed=3, t=1)
         assert seeds == [3 + 7919 * lvl for lvl in range(candidates.MAX_LEVELS)]
 
 
@@ -220,7 +229,8 @@ def test_candidate_sets_are_level0_classes_within_distance_2(n, p, graph_seed, m
     keep = rng.random(len(src)) < p
     e = pd.DataFrame({"src": src[keep].astype(np.int64), "dst": dst[keep].astype(np.int64)})
     lr = random_forest_roots(n, int(merge_frac * n), graph_seed)
-    g = candidates.assign_groups(e, lr, seed=seed, t=t, max_size=max_size)
+    with mock.patch.object(candidates, "MAX_SIZE", max_size):
+        g = candidates.assign_groups(e, lr, seed=seed, t=t)
     assert g.groupby("gid").size().max() <= max_size
     sh = shingles_np(e, lr, seed, t).set_index("root")["shingle"]
     adj = root_adjacency(e, lr)
