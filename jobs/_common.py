@@ -27,11 +27,23 @@ def session(app: str, engine: str) -> SparkSession | None:
     )
 
 
-def base_parser(desc: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(description=desc)
-    p.add_argument("--scale", default="bench", choices=["test", "bench"])
+# the shared flags a job offers only when its table builder reads them
+_FLAGS = {
+    "--scale": dict(default="bench", choices=["test", "bench"]),
+    "--T": dict(type=int, default=20),
+    "--datasets": dict(nargs="*", default=None),
+}
+
+
+def base_parser(desc: str, *flags: str) -> argparse.ArgumentParser:
+    """``--seed`` and ``--engine``, plus the shared ``flags`` the job reads
+    (names from ``_FLAGS``), so argparse rejects a flag the job would
+    ignore. No flag may be abbreviated: ``--T`` would otherwise pass for
+    ``--Ts``."""
+    p = argparse.ArgumentParser(description=desc, allow_abbrev=False)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--T", type=int, default=20)
     p.add_argument(
         "--engine",
         default="local",
@@ -39,7 +51,6 @@ def base_parser(desc: str) -> argparse.ArgumentParser:
         help="group-merge execution engine (spark = one mapInPandas job per round "
              "over pickled per-group bundles, no shuffle)",
     )
-    p.add_argument("--datasets", nargs="*", default=None)
     return p
 
 

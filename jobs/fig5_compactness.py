@@ -8,7 +8,8 @@ from repro.eval.tables import fig5_compactness
 
 
 def main() -> None:
-    p = base_parser("Fig 5: relative size & runtime for all 5 methods")
+    p = base_parser("Fig 5: relative size & runtime for all 5 methods",
+                    "--scale", "--T", "--datasets")
     args = p.parse_args()
     df = fig5_compactness(
         scale=args.scale, names=args.datasets, T=args.T, seed=args.seed,

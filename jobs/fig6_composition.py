@@ -6,7 +6,7 @@ from repro.eval.tables import fig6_composition
 
 
 def main() -> None:
-    args = base_parser("Fig 6: output composition").parse_args()
+    args = base_parser("Fig 6: output composition", "--scale", "--T", "--datasets").parse_args()
     df = fig6_composition(
         scale=args.scale, names=args.datasets, T=args.T, seed=args.seed,
         engine=args.engine, spark=session("fig6", args.engine),

@@ -7,7 +7,7 @@ from repro.eval.harness import load_dataset, run_method
 
 
 def main() -> None:
-    p = base_parser("Summarize one dataset with any method")
+    p = base_parser("Summarize one dataset with any method", "--scale", "--T")
     p.add_argument("--dataset", default="ppi_like")
     p.add_argument("--method", default="slugger")
     args = p.parse_args()

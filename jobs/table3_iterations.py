@@ -6,7 +6,7 @@ from repro.eval.tables import table3_iterations
 
 
 def main() -> None:
-    p = base_parser("Table III: relative size vs T")
+    p = base_parser("Table III: relative size vs T", "--scale", "--datasets")
     p.add_argument("--Ts", nargs="*", type=int, default=[1, 5, 10, 20, 40])
     args = p.parse_args()
     df = table3_iterations(

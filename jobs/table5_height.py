@@ -6,7 +6,8 @@ from repro.eval.tables import table5_height
 
 
 def main() -> None:
-    p = base_parser("Table V: avg leaf depth & relative size vs H_b")
+    p = base_parser("Table V: avg leaf depth & relative size vs H_b",
+                    "--scale", "--T", "--datasets")
     p.add_argument("--hbs", nargs="*", type=int, default=[2, 5, 7, 10, 0])
     args = p.parse_args()
     df = table5_height(

@@ -12,23 +12,29 @@ scores match the global outcome.
 Saving and merging read each root's *side scan* (``GroupWorker._side``):
 its panel S̄_root, the p/n-edges inside it and its Case-2 edges, found in
 one pass over the panel's adjacency and bucketed by root C, scanned once
-per (root, role) with role A or B labels. Many roots C give a side the
-same bucket, so each bucket also gets a *shape* id, a worker-wide number
-for its (atom count of C, bucket) pair, and the scan keeps the set of its
-roots C per shape. Per partner atom count the scan caches the effect of
-each shape alone (:func:`repro.core.localenc.case2_effect`) and the sum
-weighted by those sets' sizes. Saving(A, z) is the memoized Case-1 effect
-(:func:`repro.core.localenc.case1_effect`) plus both sides' sums, less each
-side's bucket for the other's root (those edges are Case 1), with the
-roots C both sides touch re-scored on A's bucket followed by z's: once per
-(A's shape, z's shape) pair whose root sets meet, times the size of their
-intersection. A scan keeps its inner edges and every bucket sorted, so it
-is a function of the edges and trees alone, not of the order the edges
-were added in; no score or merge depends on that order (DESIGN.md §3.1).
-A merge solves the per-C buckets to apply them, drops the scans of A and
-B, and patches the scans of every C it touched: their buckets for A and B
-give way to one sorted bucket for the new root. No other scan can see the
-edges or trees it changes.
+per root and labelled as side A. "A" and "B" are positions within one
+candidate pair, not properties of a root, so the B side of a pair is the
+same scan read through one fixed relabelling (A/A0/A1 → B/B0/B1, and in
+A's bucket for B, C/C0/C1 → B/B0/B1). The map is monotone, so it keeps
+every sorted tuple sorted and hands the solver the keys a B-labelled
+scan would. Many roots C give a side the same bucket, so each bucket is
+stored once, as a *shape*: a worker-wide id for its (atom count of C,
+bucket) pair, and the scan keeps the shape id per root C and the set of
+its roots C per shape. Per (position, partner atom count) the scan caches
+the effect of each shape alone
+(:func:`repro.core.localenc.case2_effect`) and the sum weighted by those
+sets' sizes. Saving(A, z) is the memoized Case-1 effect
+(:func:`repro.core.localenc.case1_effect`) plus both sides' sums, less
+each side's bucket for the other's root (those edges are Case 1), with
+the roots C both sides touch re-scored on A's bucket followed by z's:
+once per (A's shape, z's shape) pair whose root sets meet, times the size
+of their intersection. A scan keeps its inner edges and every bucket
+sorted, so it is a function of the edges and trees alone, not of the
+order the edges were added in; no score or merge depends on that order
+(DESIGN.md §3.1). A merge solves the per-C buckets to apply them, drops
+the scans of A and B, and patches the scan of every C it touched: its
+buckets for A and B give way to one sorted bucket for the new root. No
+other scan can see the edges or trees it changes.
 
 Groups are independent. Worker I/O is plain tuples: :func:`run_group`
 takes one group's bundle (see :data:`Bundle`) and returns the group's
@@ -63,37 +69,42 @@ def new_id(t: int, gid: int, seq: int) -> int:
     return ID_BASE + (((t << 24) | gid) << 10) + seq
 
 
-_ROLE_LABELS = ((L.A, L.A0, L.A1), (L.B, L.B0, L.B1))
-_C_TO_B = {L.C: L.B, L.C0: L.B0, L.C1: L.B1}
+_A_SIDE = (L.A, L.A0, L.A1)  # a scan's panel labels, root first
+# the B side of a pair: A's labels, and C's labels in A's bucket for B
+_TO_B = {L.A: L.B, L.A0: L.B0, L.A1: L.B1, L.C: L.B, L.C0: L.B0, L.C1: L.B1}
+
+
+def _b_side(bucket: tuple) -> tuple:
+    """A scan's Case-2 bucket with its panel labels moved to side B."""
+    return tuple((_TO_B[lx], lc, s) for lx, lc, s in bucket)
 
 
 class _Side:
-    """One root's side scan in one role: its panel S̄_root (labels, real
-    ids, atom count, singleton flags per atom), the p/n-edges inside it and
-    its Case-2 buckets (each a sorted tuple of labelled edges), the shape
-    id of each bucket and the set of roots C per shape, the root's external
-    (supernode, sign) pairs, and, per partner atom count, the one-sided
+    """One root's side scan, labelled as side A: its panel S̄_root (real
+    ids, atom count, singleton flags per atom), the p/n-edges inside it
+    (also relabelled to side B), the shape id of its Case-2 bucket per root
+    C and the set of roots C per shape, the root's external (supernode,
+    sign) pairs, and, per (position, partner atom count), the one-sided
     Case-2 effect of each shape and their sum over the roots C."""
 
-    __slots__ = ("labels", "reals", "n", "flags", "inner", "buckets", "sids",
-                 "shapes", "ext", "effects")
+    __slots__ = ("reals", "n", "flags", "inner", "inner_b", "sids", "shapes", "ext",
+                 "effects")
 
-    def __init__(self, labels: tuple[int, ...], reals: tuple[int, ...],
-                 flags: tuple[bool, ...], inner: tuple, buckets: dict[int, tuple],
+    def __init__(self, reals: tuple[int, ...], flags: tuple[bool, ...], inner: tuple,
                  sids: dict[int, int], shapes: dict[int, set[int]],
                  ext: frozenset[tuple[int, int]]):
-        self.labels, self.reals, self.flags = labels, reals, flags
-        self.inner, self.buckets = inner, buckets
+        self.reals, self.flags, self.inner = reals, flags, inner
+        self.inner_b = tuple((_TO_B[lx], _TO_B[ly], s) for lx, ly, s in inner)
         self.sids, self.shapes, self.ext = sids, shapes, ext
         self.n = len(flags)
-        self.effects: dict[int, tuple[dict[int, tuple], tuple[int, int, int, int]]] = {}
+        self.effects: dict[tuple[int, int], tuple[dict[int, tuple], tuple]] = {}
 
 
-def _case1_removal(sa: _Side, sb: _Side, b: int) -> tuple[tuple[int, int, int], ...]:
+def _case1_removal(sa: _Side, sb: _Side, ab: tuple) -> tuple[tuple[int, int, int], ...]:
     """Every p/n-edge inside the panel S̄_A ∪ S̄_B, labelled: each side's
-    inner edges and A's Case-2 bucket for B, relabelled to the B side."""
-    return sa.inner + sb.inner + tuple(
-        (lx, _C_TO_B[lc], s) for lx, lc, s in sa.buckets.get(b, ()))
+    inner edges and A's Case-2 bucket ``ab`` for B, relabelled to the B
+    side."""
+    return sa.inner + sb.inner_b + tuple((lx, _TO_B[lc], s) for lx, lc, s in ab)
 
 
 class GroupWorker:
@@ -110,29 +121,28 @@ class GroupWorker:
         self.forest = Forest(0, {x: n for x, n, _ in nodes}, hedges)
         # each bundle node's root at the start of the round (see treeof)
         self.static_root: dict[int, int] = {x: r for x, _, r in nodes}
-        # per-root aggregates
-        self.height: dict[int, int] = {}
-        self.hcount: dict[int, int] = {}
         # pruning-aware hierarchy cost: every edge-less non-leaf supernode
         # will be reclaimed by pruning Step 1 (one h-edge each), so Saving
-        # charges the *effective* h-cost eff_h = hcount - zero_internal
-        # (DESIGN.md §3.1 — deviation from the literal Eq. 8, which made the
-        # greedy systematically under-merge relative to the paper's results)
+        # charges the *effective* h-cost eff_h (DESIGN.md §3.1 — deviation
+        # from the literal Eq. 8, which made the greedy systematically
+        # under-merge relative to the paper's results)
         self.ndeg: dict[int, int] = defaultdict(int)
-        self.zero_internal: dict[int, int] = defaultdict(int)
+        # a full binary tree of k leaves has k - 1 non-leaves, none of which
+        # has an edge before the edges below are counted
+        self.zero_internal: dict[int, int] = defaultdict(
+            int, {r: self.forest.size[r] - 1 for r in self.roots})
+        self.height: dict[int, int] = {}  # per root
         children = self.forest.children
         for r in self.roots:  # iterative walks: pre-pruning trees can be deep
-            height, hcount, internal, stack = 0, 0, 0, [(r, 0)]
+            height, stack = 0, [(r, 0)]
             while stack:
                 v, d = stack.pop()
                 kids = children.get(v)
                 if kids:
-                    hcount += len(kids)
-                    internal += 1  # no edges seen yet
                     stack.extend((c, d + 1) for c in kids)
                 else:
                     height = max(height, d)
-            self.height[r], self.hcount[r], self.zero_internal[r] = height, hcount, internal
+            self.height[r] = height
         # --- p/n-edges (intra-group) ---
         self.edges = SignedEdges()
         self.pmap: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
@@ -146,7 +156,7 @@ class GroupWorker:
             self.inc[self.treeof(x)] += 1
             self._bump_ndeg(x, 1)
         self.merges: list[tuple[int, int, int]] = []  # (A, B, U)
-        self._sides: dict[tuple[int, int], _Side] = {}  # (root, role) -> scan
+        self._sides: dict[int, _Side] = {}  # root -> scan
         # Case-2 bucket shapes (nc, bucket) by id, and the shared-C
         # correction per (na, nb, A's shape id, z's shape id); both are
         # functions of their keys, so they never go stale
@@ -179,9 +189,10 @@ class GroupWorker:
                 self.zero_internal[self.treeof(x)] += 1
 
     def eff_h(self, r: int) -> int:
-        """Post-Step-1 hierarchy cost of tree r (each edge-less non-leaf
-        will be pruned, reclaiming one h-edge)."""
-        return self.hcount[r] - self.zero_internal.get(r, 0)
+        """Post-Step-1 hierarchy cost of tree r: its 2·(size − 1) h-edges,
+        as trees are full binary until pruning, less one per edge-less
+        non-leaf, which pruning will reclaim."""
+        return 2 * (self.forest.size[r] - 1) - self.zero_internal.get(r, 0)
 
     def _add_edge(self, x: int, y: int, s: int) -> None:
         self.edges.add(x, y, s)
@@ -211,37 +222,38 @@ class GroupWorker:
 
     # ------------------------------------------------------------ side scans
 
-    def _side(self, root: int, role: int) -> _Side:
-        """The cached :class:`_Side` of ``root`` in ``role`` (0: A labels,
-        1: B labels), scanned on first use."""
-        side = self._sides.get((root, role))
+    def _side(self, root: int) -> _Side:
+        """The cached :class:`_Side` of ``root``, scanned on first use."""
+        side = self._sides.get(root)
         if side is None:
-            side = self._sides[(root, role)] = self._scan(root, role)
+            side = self._sides[root] = self._scan(root)
         return side
 
-    def _scan(self, root: int, role: int) -> _Side:
+    def _bucket(self, side: _Side, c: int) -> tuple:
+        """The side's Case-2 bucket for root ``c`` (empty if it has none)."""
+        sid = side.sids.get(c)
+        return () if sid is None else self._shapes[sid][1]
+
+    def _scan(self, root: int) -> _Side:
         """S̄_root, its inner edges and its Case-2 buckets, found in one pass
         over the panel's adjacency: root C -> ((panel label, C-side label,
-        sign), ...) for every p/n-edge between S̄_root and S̄_C, sorted.
-        Edges to deeper nodes of C's tree are out of scope."""
-        base, c0, c1 = _ROLE_LABELS[role]
+        sign), ...) for every p/n-edge between S̄_root and S̄_C, sorted and
+        interned as a shape. Edges to deeper nodes of C's tree are out of
+        scope."""
         f = self.forest
         roots, parent, children, size = self.roots, f.parent, f.children, f.size
-        kids = children.get(root)
-        if kids:
-            assert len(kids) == 2, f"non-binary supernode {root} during merging"
-            labels, reals = (base, c0, c1), (root, kids[0], kids[1])
-            flags = (size[kids[0]] == 1, size[kids[1]] == 1)
-        else:
-            labels, reals, flags = (base,), (root,), (size[root] == 1,)
+        kids = children.get(root, ())
+        assert len(kids) in (0, 2), f"non-binary supernode {root} during merging"
+        reals = (root, *kids)
+        flags = tuple(size[v] == 1 for v in kids or reals)  # per atom
         inner = []
         buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        for i, (x, lx) in enumerate(zip(reals, labels)):
+        for i, (x, lx) in enumerate(zip(reals, _A_SIDE)):
             for y, s in self.edges.incident(x).items():
                 if y in reals:
                     j = reals.index(y)
                     if j >= i:  # each inner edge once
-                        inner.append((lx, labels[j], s))
+                        inner.append((lx, _A_SIDE[j], s))
                     continue
                 if y in roots:  # y is C
                     c, lc = y, L.C
@@ -251,14 +263,12 @@ class GroupWorker:
                         continue
                     lc = L.C0 if children[c][0] == y else L.C1
                 buckets[c].append((lx, lc, s))
-        frozen: dict[int, tuple] = {}
         sids: dict[int, int] = {}
         shapes: dict[int, set[int]] = defaultdict(set)
         for c, es in buckets.items():
-            frozen[c] = es = tuple(sorted(es))
-            sids[c] = sid = self._intern(2 if children.get(c) else 1, es)
+            sids[c] = sid = self._intern(2 if children.get(c) else 1, tuple(sorted(es)))
             shapes[sid].add(c)
-        return _Side(labels, reals, flags, tuple(sorted(inner)), frozen, sids, shapes,
+        return _Side(reals, flags, tuple(sorted(inner)), sids, shapes,
                      frozenset(self.ext_adj.get(root, {}).items()))
 
     def _intern(self, nc: int, bucket: tuple) -> int:
@@ -272,7 +282,7 @@ class GroupWorker:
         return sid
 
     def _patch(self, side: _Side, a: int, b: int, u: int) -> None:
-        """Bring a cached scan of a root C up to what a fresh scan gives
+        """Bring the cached scan of a root C up to what a fresh scan gives
         after merge(a, b → u). The merge edited only C's edges to the
         panels of ``a`` and ``b``, and made ``u`` a root with children
         ``a`` and ``b``: so C's buckets for ``a`` and ``b`` go, and its
@@ -281,30 +291,30 @@ class GroupWorker:
         of ``u``'s tree are out of scope. The effects are dropped and
         recomputed on next use, as a fresh scan's would be."""
         for r in (a, b):
-            if side.buckets.pop(r, None) is not None:
-                sid = side.sids.pop(r)
+            sid = side.sids.pop(r, None)
+            if sid is not None:
                 cs = side.shapes[sid]
                 cs.discard(r)
                 if not cs:
                     del side.shapes[sid]
         found = []
-        for x, lx in zip(side.reals, side.labels):
+        for x, lx in zip(side.reals, _A_SIDE):
             nbrs = self.edges.incident(x)
             for y, lc in ((u, L.C), (a, L.C0), (b, L.C1)):
                 s = nbrs.get(y)
                 if s is not None:
                     found.append((lx, lc, s))
         if found:
-            side.buckets[u] = bucket = tuple(sorted(found))
-            side.sids[u] = sid = self._intern(2, bucket)
+            side.sids[u] = sid = self._intern(2, tuple(sorted(found)))
             side.shapes[sid].add(u)
         side.effects.clear()
 
     def _effects(self, side: _Side, role: int, n: int):
         """({shape id: case2_effect of that bucket alone}, the sum over the
-        side's roots C) with a partner of ``n`` atoms, cached on the side:
-        the score of a root C only one side touches."""
-        got = side.effects.get(n)
+        side's roots C) with the side in position A (``role`` 0) or B (1)
+        and a partner of ``n`` atoms, cached on the side: the score of a
+        root C only one side touches."""
+        got = side.effects.get((role, n))
         if got is None:
             per_s = {}
             d = da = db = du = 0
@@ -312,23 +322,23 @@ class GroupWorker:
                 k = len(cs)
                 nc, removed = self._shapes[sid]
                 e = per_s[sid] = (L.case2_effect(side.n, n, nc, removed) if role == 0
-                                  else L.case2_effect(n, side.n, nc, removed))
+                                  else L.case2_effect(n, side.n, nc, _b_side(removed)))
                 d += k * e[0]
                 da += k * e[1]
                 db += k * e[2]
                 du += k * e[3]
-            got = side.effects[n] = (per_s, (d, da, db, du))
+            got = side.effects[(role, n)] = (per_s, (d, da, db, du))
         return got
 
     def _pair_effect(self, na: int, nb: int, x: int, y: int, ea: dict, eb: dict):
         """What re-scoring one root C on A's bucket of shape ``x`` followed
-        by z's of shape ``y`` adds to the two one-sided effects ``ea[x]``
-        and ``eb[y]``."""
+        by z's of shape ``y`` (relabelled to side B) adds to the two
+        one-sided effects ``ea[x]`` and ``eb[y]``."""
         key = (na, nb, x, y)
         got = self._pair_fx.get(key)
         if got is None:
             nc, removed = self._shapes[x]
-            e = L.case2_effect(na, nb, nc, removed + self._shapes[y][1])
+            e = L.case2_effect(na, nb, nc, removed + _b_side(self._shapes[y][1]))
             e1, e2 = ea[x], eb[y]
             got = self._pair_fx[key] = (e[0] - e1[0] - e2[0], e[1] - e1[1] - e2[1],
                                         e[2] - e1[2] - e2[2], e[3] - e1[3] - e2[3])
@@ -345,9 +355,10 @@ class GroupWorker:
         den = self.eff_h(a) + self.eff_h(b) + self.inc[a] + self.inc[b] - self.pcnt(a, b)
         if den <= 0:
             return NO_MERGE
-        sa, sb = self._side(a, 0), self._side(b, 1)
+        sa, sb = self._side(a), self._side(b)
         na, nb = sa.n, sb.n
-        d, da, db, du = L.case1_effect(na, nb, sa.flags + sb.flags, _case1_removal(sa, sb, b))
+        d, da, db, du = L.case1_effect(na, nb, sa.flags + sb.flags,
+                                       _case1_removal(sa, sb, self._bucket(sa, b)))
         # Case 2: each side's one-sided total, less its bucket for the other
         # side's root (those edges are Case 1), with every root C both sides
         # touch re-scored on the concatenated bucket, once per shape pair
@@ -392,15 +403,15 @@ class GroupWorker:
         """Merge roots a, b into new root u and re-encode locally."""
         # Case-1/Case-2 geometry is computed against the *pre-merge* trees.
         f = self.forest
-        sa, sb = self._side(a, 0), self._side(b, 1)
+        sa, sb = self._side(a), self._side(b)
         na, nb = sa.n, sb.n
-        removal = _case1_removal(sa, sb, b)
+        removal = _case1_removal(sa, sb, self._bucket(sa, b))
         # the roots C beside the panel: their Case-2 plans touch disjoint
         # edges, so the order they are applied in changes no edge
-        c_roots = sorted((sa.buckets.keys() | sb.buckets.keys()) - {a, b})
+        c_roots = sorted((sa.sids.keys() | sb.sids.keys()) - {a, b})
         case2_plan = []
         for c_root in c_roots:
-            removal2 = sa.buckets.get(c_root, ()) + sb.buckets.get(c_root, ())
+            removal2 = self._bucket(sa, c_root) + _b_side(self._bucket(sb, c_root))
             sol2 = L.solve_case2(na, nb, 2 if f.children.get(c_root) else 1, removal2)
             if sol2 is not None:
                 case2_plan.append((c_root, removal2, sol2))
@@ -408,14 +419,12 @@ class GroupWorker:
         # root-level external (Y, sign) at both A and B: exactly what the
         # global consolidation phase will lift to (U, Y)
         shared = sorted(sa.ext & sb.ext)
-        for role in (0, 1):
-            self._sides.pop((a, role), None)
-            self._sides.pop((b, role), None)
+        self._sides.pop(a)
+        self._sides.pop(b)
 
         # --- structural merge: treeof(a) and treeof(b) now give u ---
         f.merge(a, b, u)
         self.height[u] = max(self.height[a], self.height[b]) + 1
-        self.hcount[u] = self.hcount[a] + self.hcount[b] + 2
         # U starts edge-less (non-leaf); later edge mutations flip it back
         self.zero_internal[u] = (
             self.zero_internal.pop(a, 0) + self.zero_internal.pop(b, 0) + 1
@@ -429,7 +438,8 @@ class GroupWorker:
         self.roots.add(u)
 
         # --- apply Case 1 ---
-        label2real = dict(zip(sa.labels + sb.labels, sa.reals + sb.reals))
+        label2real = dict(zip(_A_SIDE, sa.reals))
+        label2real.update(zip((L.B, L.B0, L.B1), sb.reals))
         label2real[L.U] = u
         if sol1 is not None:
             for lx, ly, _ in removal:
@@ -458,10 +468,9 @@ class GroupWorker:
         # of the roots C are patched, every other scan stays exact
         # (DESIGN.md §3.1)
         for c_root in c_roots:
-            for role in (0, 1):
-                side = self._sides.get((c_root, role))
-                if side is not None:
-                    self._patch(side, a, b, u)
+            side = self._sides.get(c_root)
+            if side is not None:
+                self._patch(side, a, b, u)
         self.merges.append((a, b, u))
 
     # ------------------------------------------------------------- main loop

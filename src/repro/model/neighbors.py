@@ -5,10 +5,12 @@ decoding the whole model.
 walks once: parents and leaf lists from the summary's
 :class:`repro.model.summary.Forest` (``parent`` and ``members()``) and
 the incident p/n-edges, rejecting an edge to a supernode with no subnode
-as the decoders do (``checked_pedges``). ``neighbors(v)`` then climbs
-v's ancestor chain, gathers the leaf lists of the supernodes adjacent to
-it by sign, counts them with ``collections.Counter`` (in C), subtracts
-the n-edge counts and returns the subnodes with net count 1.
+(``checked_pedges``) and an edge between a supernode and its ancestor
+(``Forest.ancestors``), as the decoders do.
+``neighbors(v)`` then climbs v's ancestor chain, gathers the leaf lists
+of the supernodes adjacent to it by sign, counts them with
+``collections.Counter`` (in C), subtracts the n-edge counts and returns
+the subnodes with net count 1.
 This is the access path that lets BFS/PageRank/Dijkstra run directly on
 a summary (Sect. VIII-C).
 """
@@ -23,7 +25,8 @@ class NeighborIndex:
     """Indexed summary supporting neighbor queries whose cost is the
     number of members adjacent to the query's ancestor chain, counted in
     C. Raises ValueError if a p/n-edge names an unknown id or a supernode
-    that contains no subnode."""
+    that contains no subnode, or joins a supernode to its ancestor (a
+    self-pair), as the decoders do."""
 
     def __init__(self, summary: HierSummary):
         self.summary = summary
@@ -32,6 +35,8 @@ class NeighborIndex:
         self.members = f.members()
         self.inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for x, y, s in checked_pedges(summary, self.members):
+            if x != y and (x in f.ancestors(y) or y in f.ancestors(x)):
+                raise ValueError("self-pair: a p/n-edge joins a supernode to its ancestor")
             self.inc[x].append((y, s))
             if x != y:
                 self.inc[y].append((x, s))

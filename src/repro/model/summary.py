@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -110,13 +110,8 @@ class HierSummary:
 
         # an edge covers pairs of its endpoints' members, so an edge between
         # a supernode and its ancestor would cover self-pairs (u, u)
-        def ancestors(v: int):
-            while v in f.parent:
-                v = f.parent[v]
-                yield v
-
         for x, y in zip(self.pedges["x"].astype(int), self.pedges["y"].astype(int)):
-            assert x == y or (x not in ancestors(y) and y not in ancestors(x)), (
+            assert x == y or (x not in f.ancestors(y) and y not in f.ancestors(x)), (
                 f"p/n-edge ({x}, {y}) joins a supernode to its ancestor"
             )
 
@@ -190,6 +185,12 @@ class Forest:
             out.append(v)
             stack.extend(self.children.get(v, ()))
         return out
+
+    def ancestors(self, v: int) -> Iterator[int]:
+        """The proper ancestors of ``v``, nearest first."""
+        while v in self.parent:
+            v = self.parent[v]
+            yield v
 
     def leaves(self, r: int) -> list[int]:
         """The subnodes under ``r``, in :meth:`tree` order."""

@@ -155,7 +155,8 @@ def test_guards_survive_python_O():
         from repro.model.decode import decode_pd
         from repro.model.neighbors import NeighborIndex
         calls = [lambda: decode_pd(double_cover()), lambda: decode_pd(edge_to_ancestor()),
-                 lambda: NeighborIndex(double_cover()).neighbors(0)]
+                 lambda: NeighborIndex(double_cover()).neighbors(0),
+                 lambda: NeighborIndex(edge_to_ancestor())]
         bad = []
         for i, call in enumerate(calls):
             try:
@@ -180,11 +181,16 @@ class TestNeighborIndex:
         for v in range(s.n_sub):
             assert idx.neighbors(v) == sorted(want.get(v, ())), v
 
-    @pytest.mark.parametrize("make", [double_cover, double_cover_across_trees],
-                             ids=["double_cover", "double_cover_across_trees"])
-    def test_net_guard(self, make):
-        # subnode 0 is in the doubly covered pair of both summaries
-        with pytest.raises(ValueError, match="net coverage"):
+    @pytest.mark.parametrize(
+        "make,match",
+        [(double_cover, "net coverage"), (double_cover_across_trees, "net coverage"),
+         (edge_to_ancestor, "self-pair")],
+        ids=["double_cover", "double_cover_across_trees", "edge_to_ancestor"])
+    def test_net_guard(self, make, match):
+        # subnode 0 is in the doubly covered pair of the first two
+        # summaries; the third's p-edge (0, 10) joins 0 to its parent, which
+        # the index rejects when it is built, as both decoders do
+        with pytest.raises(ValueError, match=match):
             NeighborIndex(make()).neighbors(0)
 
 

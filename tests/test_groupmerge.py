@@ -61,7 +61,7 @@ class TestBookkeeping:
     def test_merge_updates_size_height_hcount(self):
         w = make_worker([0, 1], pedges=[(0, 1, 1)])
         w.merge(0, 1, U0)
-        assert w.forest.size[U0] == 2 and w.height[U0] == 1 and w.hcount[U0] == 2
+        assert w.forest.size[U0] == 2 and w.height[U0] == 1 and w.eff_h(U0) == 2
 
     def test_pmap_rekeyed_after_merge(self):
         w = make_worker([0, 1, 2], pedges=[(0, 2, 1), (1, 2, 1)])
@@ -231,8 +231,9 @@ class TestPinned:
         w = make_worker(**group)
         c_labels = (L.C, L.C0, L.C1)
         for a, b in itertools.permutations(group["roots"], 2):
-            sa, sb = w._side(a, 0), w._side(b, 1)
-            real2label = dict(zip(sa.reals + sb.reals, sa.labels + sb.labels))
+            sa, sb = w._side(a), w._side(b)
+            real2label = {**dict(zip(sa.reals, (L.A, L.A0, L.A1))),
+                          **dict(zip(sb.reals, (L.B, L.B0, L.B1)))}
             want: dict[int, Counter] = {}
             for c in set(group["roots"]) - {a, b}:
                 s_bar = [c] + w.forest.children.get(c, [])
@@ -243,8 +244,8 @@ class TestPinned:
                     if x in real2label and y in s_bar)
                 if found:
                     want[c] = found
-            got = {c: Counter(sa.buckets.get(c, ()) + sb.buckets.get(c, ()))
-                   for c in (sa.buckets.keys() | sb.buckets.keys()) - {a, b}}
+            got = {c: Counter(w._bucket(sa, c) + gm._b_side(w._bucket(sb, c)))
+                   for c in (sa.sids.keys() | sb.sids.keys()) - {a, b}}
             assert got == want, (a, b)
 
     @pytest.mark.parametrize("name", PINNED_GROUPS)
@@ -252,12 +253,13 @@ class TestPinned:
         group = PINNED_GROUPS[name]
         w = make_worker(**group)
         for a, b in itertools.permutations(group["roots"], 2):
-            sa, sb = w._side(a, 0), w._side(b, 1)
-            real2label = dict(zip(sa.reals + sb.reals, sa.labels + sb.labels))
+            sa, sb = w._side(a), w._side(b)
+            real2label = {**dict(zip(sa.reals, (L.A, L.A0, L.A1))),
+                          **dict(zip(sb.reals, (L.B, L.B0, L.B1)))}
             want = Counter((frozenset((real2label[x], real2label[y])), s)
                            for (x, y), s in w.edges.items()
                            if x in real2label and y in real2label)
-            got = Counter((frozenset((lx, ly)), s) for lx, ly, s in gm._case1_removal(sa, sb, b))
+            got = Counter((frozenset((lx, ly)), s) for lx, ly, s in gm._case1_removal(sa, sb, w._bucket(sa, b)))
             assert got == want, (a, b)
 
     @pytest.mark.parametrize("key", MERGED, ids=lambda k: "-".join(map(str, k)))
@@ -316,16 +318,16 @@ STALE_GROUPS = {**PINNED_GROUPS, "random": random_group(3), "budget_out": random
 FIRST_MERGES = {"zero_target": [(1, 2)]}
 
 
-def assert_scan_is_fresh(w, root, role):
-    """The cached scan of (root, role) equals a fresh ``_scan``, field by
+def assert_scan_is_fresh(w, root):
+    """The cached scan of ``root`` equals a fresh ``_scan``, field by
     field."""
-    got, want = w._sides[(root, role)], w._scan(root, role)
-    assert (got.labels, got.reals, got.flags) == (want.labels, want.reals, want.flags)
+    got, want = w._sides[root], w._scan(root)
+    assert (got.reals, got.flags) == (want.reals, want.flags)
     assert got.inner == want.inner
-    assert got.buckets == want.buckets
+    assert {c: w._bucket(got, c) for c in got.sids} == {c: w._bucket(want, c) for c in want.sids}
     assert got.sids == want.sids
     assert {sid: w._shapes[sid] for sid in got.sids.values()} == {
-        sid: (2 if w.forest.children.get(c) else 1, want.buckets[c])
+        sid: (2 if w.forest.children.get(c) else 1, w._bucket(want, c))
         for c, sid in want.sids.items()}
     assert got.shapes == want.shapes
     assert got.ext == want.ext
@@ -375,7 +377,7 @@ def check_scans_through_merges(name):
         a, b = first.pop(0) if first else rng.sample(sorted(w.roots), 2)
         u = gm.new_id(1, 0, seq)
         touched = [k for k, side in w._sides.items()
-                   if k[0] not in (a, b) and side.buckets.keys() & {a, b}]
+                   if k not in (a, b) and side.sids.keys() & {a, b}]
         w.merge(a, b, u)
         ref._sides.clear()
         ref.merge(a, b, u)
@@ -384,14 +386,14 @@ def check_scans_through_merges(name):
         assert list(w.edges.items()) == list(ref.edges.items()), (a, b)
         assert {x: list(d.items()) for x, d in w.edges.adj.items()} == {
             x: list(d.items()) for x, d in ref.edges.adj.items()}, (a, b)
-        assert {r for r, _ in w._sides} <= w.roots - {u}
-        for root, role in w._sides:
-            assert_scan_is_fresh(w, root, role)
+        assert set(w._sides) <= w.roots - {u}
+        for root in w._sides:
+            assert_scan_is_fresh(w, root)
         for k in touched:
-            bucket = w._sides[k].buckets.get(u)
+            bucket = w._bucket(w._sides[k], u)
             patched[0] += 1
-            patched[1] += bucket is not None
-            patched[2] += bucket is not None and all(lc != L.C for _, lc, _ in bucket)
+            patched[1] += bool(bucket)
+            patched[2] += bool(bucket) and all(lc != L.C for _, lc, _ in bucket)
         cached = scores()
         kept, w._sides = w._sides, {}
         assert cached == scores(), (a, b)
@@ -465,9 +467,9 @@ def test_shape_grouped_saving_matches_per_c_sum(name):
     group = SHAPE_GROUPS[name]
     w = make_worker(**group)
     if name == "dense":
-        assert {sid for r in w.roots for sid in w._side(r, 0).sids.values()} == {0}
+        assert {sid for r in w.roots for sid in w._side(r).sids.values()} == {0}
     elif name == "redundant":
-        assert w._side(10, 0).shapes == {0: {4, 5, 6, 7, 8, 9}}
+        assert w._side(10).shapes == {0: {4, 5, 6, 7, 8, 9}}
     else:
         assert max(w.height.values()) == 2
     rng = random.Random(1)
@@ -490,7 +492,8 @@ def group_bundle(group):
 def assert_sides_sorted(w):
     for side in w._sides.values():
         assert list(side.inner) == sorted(side.inner)
-        for bucket in side.buckets.values():
+        for c in side.sids:
+            bucket = w._bucket(side, c)
             assert list(bucket) == sorted(bucket)
 
 

@@ -31,14 +31,14 @@ JOBS = [
 ]
 
 
-def run_python(args: list[str]) -> str:
-    """Run ``python *args`` in the repository root; return its stdout."""
+def run_proc(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in the repository root."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(p for p in path if p),
     }
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
@@ -46,6 +46,11 @@ def run_python(args: list[str]) -> str:
         cwd=ROOT,
         env=env,
     )
+
+
+def run_python(args: list[str]) -> str:
+    """Run ``python *args`` in the repository root; return its stdout."""
+    proc = run_proc(args)
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert proc.stdout.strip(), "printed nothing"
     return proc.stdout
@@ -54,6 +59,17 @@ def run_python(args: list[str]) -> str:
 @pytest.mark.parametrize("cmd", JOBS, ids=[c[0].split("/")[-1] for c in JOBS])
 def test_job_runs(cmd):
     run_python(cmd)
+
+
+def test_jobs_read_every_flag_they_offer():
+    # a flag the job's builder never reads is rejected, not ignored
+    scal = ["jobs/scalability.py", "--base-n", "400"]
+    for cmd in ([*scal, "--T", "1"], [*scal, "--scale", "test"],
+                [*scal, "--datasets", "ppi_like"],
+                ["jobs/table3_iterations.py", "--T", "2"],
+                [*SUMMARIZE, "--datasets", "ppi_like"]):
+        proc = run_proc(cmd)
+        assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr, cmd
 
 
 def test_summarize_spark_engine_prints_local_record():

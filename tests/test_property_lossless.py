@@ -52,6 +52,9 @@ def test_unpruned_then_pruned_lossless_and_no_worse(kind, n, seed):
     edges = random_graph(kind, n, seed)
     res = slugger(edges, n, T=3, seed=seed % 97, engine="local", do_prune=False)
     assert_lossless_pd(res.summary, edges)
+    # trees are full binary until pruning, so a tree of k leaves has
+    # 2(k - 1) h-edges, the count the group worker's eff_h rests on
+    assert set(res.summary.hedges["parent"].value_counts()) <= {2}
     pruned = prune(res.summary, edges)
     assert_lossless_pd(pruned, edges)
     assert cost(pruned) <= cost(res.summary)

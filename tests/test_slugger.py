@@ -93,14 +93,15 @@ class TestGolden:
 
 
 def test_ppi_like_t5_scans_each_side_once(monkeypatch):
-    # a merge patches the cached scans of the roots it touched, so no
-    # worker ever scans the same (root, role) twice
+    # a merge patches the cached scans of the roots it touched, and a
+    # root's one scan serves it in either position of a pair, so no worker
+    # ever scans the same root twice
     scans = Counter()
     scan = groupmerge.GroupWorker._scan
 
-    def counted(self, root, role):
-        scans[(self.t, self.gid, root, role)] += 1
-        return scan(self, root, role)
+    def counted(self, root):
+        scans[(self.t, self.gid, root)] += 1
+        return scan(self, root)
 
     monkeypatch.setattr(groupmerge.GroupWorker, "_scan", counted)
     edges = datasets.load("ppi_like", scale="test", seed=0)
