@@ -6,32 +6,38 @@ transformations preserve coverage *exactly*, so the net count is always
 in {0, 1}; both decoders check this, which turns any encoding bug into
 a loud failure rather than a silently wrong graph.
 
-One function, ``_net_pairs``, counts the coverage for both decoders: one
-``Counter`` over the pairs its edges cover, then one pass that keeps the
-pairs at net 1. It raises ValueError on a self-pair or a net outside
-{0, 1}, a check that ``python -O`` keeps.
+One function, ``_net_pairs``, counts the coverage for both decoders in
+one numpy pass: the endpoints' member lists laid out flat, every edge's
+member product expanded with ``np.repeat`` and offset arithmetic, and the
+covered pairs netted by ``np.unique`` and a sign-weighted ``np.bincount``.
+It raises ValueError on a self-pair, then on a net outside {0, 1}, a
+check that ``python -O`` keeps.
 
 ``decode`` is the Spark implementation. An edge (x, y) covers (u, v) only
 when x contains u and y contains v, so every edge covering (u, v) joins
 u's tree to v's tree. The driver therefore groups the p/n-edges by the
 pair of their endpoints' roots (``tree_pair_rows``): one row per tree
-pair with its edges and their endpoints' member lists. Each row is
-counted on its own in one map-only ``mapInPandas`` stage: all edges
-covering a pair sit in that pair's row, and two rows never produce the
-same pair, so no join, no aggregation across rows and no shuffle is
-needed. The result is lazy; its checks run in the workers and fire when
-the caller runs an action. ``decode_pd`` is its pandas twin: the decoder
-of the local engine (the one ``perfbench`` times as ``decode_s``), the
-reference ``perfbench`` checks the Spark decode against, and the decoder
-of the fast unit tests. It counts all the edges as one row, with no
-tree-pair rows to build. Both read the member lists of the summary's
+pair with its edges and their endpoints' member lists. One map-only
+``mapInPandas`` stage counts each Arrow batch of rows in one
+``_net_pairs`` pass: all edges covering a pair sit in that pair's row, and
+two rows never cover the same pair, so a batch's count is exact and no
+join, no aggregation across batches and no shuffle is needed. The
+result is lazy; its checks run in the workers and fire when the caller
+runs an action. ``decode_pd`` is its pandas twin: the decoder of the
+local engine (the one ``perfbench`` times as ``decode_s``), the reference
+``perfbench`` checks the Spark decode against, and the decoder of the
+fast unit tests. It counts all the edges as one row, with no tree-pair
+rows to build. Both read the member lists of the summary's
 :class:`repro.model.summary.Forest` (``members()``) and reject an edge to
-a supernode with no subnode through the same ``checked_pedges``; the tests
-and the benchmark check each against the input edge set.
+a supernode with no subnode, or with a sign other than ±1, through the
+same ``checked_pedges``; the tests and the benchmark check each against
+the input edge set.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import math
+from collections import defaultdict
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,6 +49,9 @@ from .summary import Forest, HierSummary, canon, checked_pedges
 if TYPE_CHECKING:
     from pyspark.sql import DataFrame, SparkSession
 
+# pair keys u * n + v (u, v < n) stay below n * n <= 2**63, so int64 holds them
+_MAX_KEY_BASE = math.isqrt(2**63)
+
 
 def tree_pair_rows(
     summary: HierSummary,
@@ -51,7 +60,7 @@ def tree_pair_rows(
     roots: one ``([(x, y, sign), ...], {endpoint: sorted subnodes})`` per
     tree pair, in tree-pair order, each row's edges in table order. Raises
     ValueError if an edge names an unknown id or a supernode that contains
-    no subnode."""
+    no subnode, or has a sign other than ±1."""
     f = Forest.from_summary(summary)
     members, root = f.members(), f.root_of()
     rows: dict[tuple[int, int], tuple[list, dict]] = defaultdict(lambda: ([], {}))
@@ -62,48 +71,69 @@ def tree_pair_rows(
     return [rows[k] for k in sorted(rows)]
 
 
-def _net_pairs(edges, members: dict[int, list[int]]) -> list[tuple[int, int]]:
-    """The sorted pairs (u, v), u < v, of net coverage 1 over ``edges``
-    ((x, y, sign) triples whose endpoints' subnodes ``members`` lists): one
-    count over every pair an edge covers, then one pass over the counts.
+def _net_pairs(edges, members: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v), u < v, of net coverage 1 over ``edges`` ((x, y,
+    sign) triples, sign ±1 as ``checked_pedges`` ensures, whose endpoints'
+    subnodes ``members`` lists), as sorted int64 arrays ``(u, v)``, in one
+    numpy pass: the endpoints' member lists laid out flat with offsets,
+    every edge's member product expanded by ``np.repeat`` and offset
+    arithmetic (a self-loop keeps u < v), each pair keyed as ``u * n + v``
+    and netted by ``np.unique`` and a sign-weighted ``np.bincount``.
     Raises ValueError on a self-pair (an edge between a supernode and its
-    ancestor) or a net outside {0, 1}."""
-    net: Counter[tuple[int, int]] = Counter()
-    for x, y, s in edges:
-        if x == y:
-            mem = members[x]
-            for i in range(len(mem)):
-                for j in range(i + 1, len(mem)):
-                    net[(mem[i], mem[j])] += s
-        else:
-            for u in members[x]:
-                for v in members[y]:
-                    a, b = (u, v) if u < v else (v, u)
-                    if a == b:
-                        raise ValueError("self-pair: a p/n-edge joins a supernode to its ancestor")
-                    net[(a, b)] += s
-    bad = [k for k, c in net.items() if c not in (0, 1)]
-    if bad:
-        raise ValueError(f"net coverage outside {{0,1}} at pairs {bad[:5]}")
-    return sorted(k for k, c in net.items() if c == 1)
+    ancestor), on subnode ids too large for that key to fit in int64, and
+    then on a net outside {0, 1}."""
+    e = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    if not len(e):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    ends, xy = np.unique(e[:, :2], return_inverse=True)
+    lists = [members[v] for v in ends.tolist()]
+    lens = np.array([len(m) for m in lists], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lens.sum()))
+    start = np.cumsum(lens) - lens
+    xi, yi = xy.reshape(-1, 2).T
+    cnt = lens[xi] * lens[yi]
+    # covered pair i is the k-th of its edge ei's member product
+    ei = np.repeat(np.arange(len(e)), cnt)
+    k = np.arange(len(ei)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    ny = lens[yi][ei]
+    u = flat[start[xi][ei] + k // ny]
+    v = flat[start[yi][ei] + k % ny]
+    loop = (xi == yi)[ei]
+    if ((u == v) & ~loop).any():
+        raise ValueError("self-pair: a p/n-edge joins a supernode to its ancestor")
+    keep = ~loop | (u < v)
+    a, b = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+    n = int(flat.max()) + 1
+    if n > _MAX_KEY_BASE:
+        raise ValueError(f"subnode id {n - 1} is too large for an int64 pair key")
+    keys, at = np.unique(a * n + b, return_inverse=True)
+    net = np.bincount(at, weights=e[ei[keep], 2])
+    bad = keys[(net != 0) & (net != 1)]
+    if len(bad):
+        raise ValueError(
+            f"net coverage outside {{0,1}} at pairs {[divmod(int(x), n) for x in bad[:5]]}")
+    one = keys[net == 1]
+    return one // n, one % n
 
 
 def _decode_rows(rows) -> pd.DataFrame:
-    """The pairs of net coverage 1 over ``(edges, members)`` rows, each row
-    counted on its own: a batch of ``tree_pair_rows`` rows on Spark, or
-    every p/n-edge as one row in ``decode_pd``."""
-    pairs = [p for edges, members in rows for p in _net_pairs(edges, members)]
-    return pd.DataFrame(
-        {
-            "src": np.array([p[0] for p in pairs], dtype=np.int64),
-            "dst": np.array([p[1] for p in pairs], dtype=np.int64),
-        }
-    )
+    """The pairs of net coverage 1 over ``(edges, members)`` rows, counted
+    in one ``_net_pairs`` pass: a batch of ``tree_pair_rows`` rows on
+    Spark, or every p/n-edge as one row in ``decode_pd``. One pass is exact
+    because no two tree-pair rows cover the same pair."""
+    members: dict[int, list[int]] = {}
+    for _, mem in rows:
+        members.update(mem)
+    src, dst = _net_pairs([e for edges, _ in rows for e in edges], members)
+    return pd.DataFrame({"src": src, "dst": dst})
 
 
 def decode(spark: SparkSession, summary: HierSummary) -> DataFrame:
     """Decode to the canonical edge DataFrame (src < dst): one map-only
-    Spark stage over the ``tree_pair_rows`` rows.
+    Spark stage over the ``tree_pair_rows`` rows, one ``_net_pairs`` pass
+    per Arrow batch. Raises ValueError on the driver as ``decode_pd`` does
+    if an edge names an unknown id or a supernode that contains no
+    subnode, or has a sign other than ±1.
 
     The result is lazy; nothing runs until the caller's action. That action
     raises a ``pyspark.errors.PySparkException`` carrying ``decode_pd``'s
@@ -117,8 +147,9 @@ def decode_pd(summary: HierSummary) -> pd.DataFrame:
     """Pandas twin of ``decode``: the local engine's decoder, the reference
     the Spark decode is checked against and the unit tests' oracle. One
     count over all the p/n-edges. Raises ValueError if an edge names an
-    unknown id or a supernode that contains no subnode, on a self-pair, or
-    on a net outside {0, 1}, with the messages of ``decode``."""
+    unknown id or a supernode that contains no subnode, or has a sign
+    other than ±1, on a self-pair, or on a net outside {0, 1}, with the
+    messages of ``decode``."""
     members = Forest.from_summary(summary).members()
     return _decode_rows([(checked_pedges(summary, members), members)])
 

@@ -5,8 +5,8 @@ decoding the whole model.
 walks once: parents and leaf lists from the summary's
 :class:`repro.model.summary.Forest` (``parent`` and ``members()``) and
 the incident p/n-edges, rejecting an edge to a supernode with no subnode
-(``checked_pedges``) and an edge between a supernode and its ancestor
-(``Forest.ancestors``), as the decoders do.
+or with a sign other than ±1 (``checked_pedges``) and an edge between a
+supernode and its ancestor (``Forest.ancestors``), as the decoders do.
 ``neighbors(v)`` then climbs v's ancestor chain, gathers the leaf lists
 of the supernodes adjacent to it by sign, counts them with
 ``collections.Counter`` (in C), subtracts the n-edge counts and returns
@@ -25,8 +25,8 @@ class NeighborIndex:
     """Indexed summary supporting neighbor queries whose cost is the
     number of members adjacent to the query's ancestor chain, counted in
     C. Raises ValueError if a p/n-edge names an unknown id or a supernode
-    that contains no subnode, or joins a supernode to its ancestor (a
-    self-pair), as the decoders do."""
+    that contains no subnode, has a sign other than ±1, or joins a
+    supernode to its ancestor (a self-pair), as the decoders do."""
 
     def __init__(self, summary: HierSummary):
         self.summary = summary

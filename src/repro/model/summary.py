@@ -78,42 +78,51 @@ class HierSummary:
     def validate(self) -> None:
         """Structural invariants: forest well-formedness, singleton leaves,
         consistent sizes, canonical signed p/n-edges, none between a
-        supernode and its ancestor. Raises AssertionError."""
+        supernode and its ancestor. Raises ValueError, which ``python -O``
+        keeps."""
         nids = set(self.nodes["nid"].astype(int))
-        assert len(nids) == len(self.nodes), "duplicate supernode ids"
-        assert set(range(self.n_sub)) <= nids, "missing singleton supernodes"
+        if len(nids) != len(self.nodes):
+            raise ValueError("duplicate supernode ids")
+        if not set(range(self.n_sub)) <= nids:
+            raise ValueError("missing singleton supernodes")
         # each child has exactly one parent; parents/children are known nodes
-        assert self.hedges["child"].is_unique, "a supernode has two parents"
+        if not self.hedges["child"].is_unique:
+            raise ValueError("a supernode has two parents")
         for col in ("parent", "child"):
-            assert set(self.hedges[col].astype(int)) <= nids, f"unknown {col} in hedges"
+            if not set(self.hedges[col].astype(int)) <= nids:
+                raise ValueError(f"unknown {col} in hedges")
         # leaves of the forest are exactly the singleton supernodes
         f = Forest.from_summary(self)
         for v in nids:
-            if v >= self.n_sub:
-                assert f.children.get(v), f"internal supernode {v} has no children"
-            else:
-                assert v not in f.children, f"singleton {v} has children"
+            if v >= self.n_sub and not f.children.get(v):
+                raise ValueError(f"internal supernode {v} has no children")
+            if v < self.n_sub and v in f.children:
+                raise ValueError(f"singleton {v} has children")
         # acyclic: with one parent each, a node on a cycle lies under no root
-        assert len(f.root_of()) == len(nids), "cycle in hierarchy"
+        if len(f.root_of()) != len(nids):
+            raise ValueError("cycle in hierarchy")
         # sizes consistent with the tree
         members = f.members()
         for v in nids:
-            assert f.size[v] == len(members[v]), f"size mismatch at supernode {v}"
+            if f.size[v] != len(members[v]):
+                raise ValueError(f"size mismatch at supernode {v}")
         # p/n-edges canonical and signed
         if len(self.pedges):
-            assert (self.pedges["x"] <= self.pedges["y"]).all(), "pedges not canonical"
-            assert set(self.pedges["sign"].astype(int)) <= {1, -1}, "bad sign"
-            assert set(self.pedges["x"].astype(int)) <= nids
-            assert set(self.pedges["y"].astype(int)) <= nids
-            dup = self.pedges.duplicated(subset=["x", "y", "sign"]).any()
-            assert not dup, "duplicate p/n-edge"
+            if not (self.pedges["x"] <= self.pedges["y"]).all():
+                raise ValueError("pedges not canonical")
+            if not set(self.pedges["sign"].astype(int)) <= {1, -1}:
+                raise ValueError("bad sign")
+            for col in ("x", "y"):
+                if not set(self.pedges[col].astype(int)) <= nids:
+                    raise ValueError(f"unknown {col} in pedges")
+            if self.pedges.duplicated(subset=["x", "y", "sign"]).any():
+                raise ValueError("duplicate p/n-edge")
 
         # an edge covers pairs of its endpoints' members, so an edge between
         # a supernode and its ancestor would cover self-pairs (u, u)
         for x, y in zip(self.pedges["x"].astype(int), self.pedges["y"].astype(int)):
-            assert x == y or (x not in f.ancestors(y) and y not in f.ancestors(x)), (
-                f"p/n-edge ({x}, {y}) joins a supernode to its ancestor"
-            )
+            if x != y and (x in f.ancestors(y) or y in f.ancestors(x)):
+                raise ValueError(f"p/n-edge ({x}, {y}) joins a supernode to its ancestor")
 
 
 @dataclass
@@ -248,11 +257,14 @@ def checked_pedges(summary: HierSummary,
     """The summary's p/n-edges as ``(x, y, sign)`` tuples in table order,
     given its :meth:`Forest.members`. Raises ValueError if an edge names an
     unknown id or a supernode that contains no subnode, which would
-    otherwise decode to nothing."""
+    otherwise decode to nothing, or whose sign is not +1 or -1, which a
+    coverage count would drop (0) or count more than once (2, -2)."""
     edges = list(zip(*(summary.pedges[c].tolist() for c in ("x", "y", "sign"))))
-    for x, y, _ in edges:
+    for x, y, s in edges:
         if not (members.get(x) and members.get(y)):
             raise ValueError(f"a p/n-edge ({x}, {y}) names a supernode that contains no subnode")
+        if s not in (1, -1):
+            raise ValueError(f"a p/n-edge ({x}, {y}) has sign {s}, not +1 or -1")
     return edges
 
 

@@ -1,25 +1,34 @@
 """Decoder tests: pandas/Spark agreement, oracle cross-checks, the
-net-coverage and self-pair guards that catch encoding bugs (also under
-``python -O``), and the neighbour queries of Algorithm 4 against the full
-decode."""
+net-coverage, self-pair and sign guards that catch encoding bugs (also
+under ``python -O``), the numpy coverage kernel against a per-pair
+``Counter`` reference, and the neighbour queries of Algorithm 4 against
+the full decode."""
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
+import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pyspark.errors import PySparkException
 
 import repro
 from repro.baselines.sweg import sweg
+from repro.core.candidates import map_bundles
 from repro.core.slugger import slugger
 from repro.graphs import generators as gen
 from repro.graphs.ops import adjacency_dict
-from repro.model.decode import assert_lossless_pd, decode, decode_pd
+from repro.model.decode import (_decode_rows, _net_pairs, assert_lossless_pd, decode,
+                                decode_pd, tree_pair_rows)
+from repro.model.flat import encode_flat
 from repro.model.neighbors import NeighborIndex
-from repro.model.summary import HierSummary
+from repro.model.summary import Forest, HierSummary, checked_pedges
 from repro.oracle import assert_equivalent
+from tests.test_property_lossless import SETTINGS, random_graph
 
 
 def hier_example() -> tuple[HierSummary, pd.DataFrame]:
@@ -112,6 +121,15 @@ BROKEN = [double_cover, double_cover_across_trees, edge_to_ancestor]
 BROKEN_IDS = [f.__name__ for f in BROKEN]
 
 
+def bad_sign(sign: int) -> HierSummary:
+    """{0, 1} under 10 with a p/n-edge (10, 2) of ``sign``."""
+    return summary(3, {10: [0, 1]}, [(10, 2, sign)])
+
+
+# a p/n-edge sign outside {-1, +1}: every reader raises ValueError
+BAD_SIGNS = [0, 2, -2]
+
+
 class TestDecodePandas:
     def test_identity_roundtrip(self):
         e = gen.er(40, 4.0, seed=0)
@@ -145,9 +163,20 @@ class TestDecodePandas:
         with pytest.raises(ValueError, match="contains no subnode"):
             read(make())
 
+    @pytest.mark.parametrize("read", [decode_pd, NeighborIndex], ids=["decode_pd", "NeighborIndex"])
+    @pytest.mark.parametrize("sign", BAD_SIGNS)
+    def test_rejects_sign_outside_pm1(self, sign, read):
+        # sign 0 would drop the edge in a count and 2 would count it twice
+        with pytest.raises(ValueError, match=f"has sign {sign}, not"):
+            read(bad_sign(sign))
+
+    def test_empty_pedges_decodes_empty_int64(self):
+        got = decode_pd(HierSummary.identity(gen.path(3).iloc[0:0], 3))
+        assert len(got) == 0 and list(got.dtypes) == [np.int64, np.int64]
+
 
 def test_guards_survive_python_O():
-    # ``python -O`` strips asserts; the decoder guards must still raise
+    # ``python -O`` strips asserts; the decoder and validate guards must still raise
     script = textwrap.dedent("""
         import sys
         sys.path[:0] = sys.argv[1:]
@@ -156,7 +185,8 @@ def test_guards_survive_python_O():
         from repro.model.neighbors import NeighborIndex
         calls = [lambda: decode_pd(double_cover()), lambda: decode_pd(edge_to_ancestor()),
                  lambda: NeighborIndex(double_cover()).neighbors(0),
-                 lambda: NeighborIndex(edge_to_ancestor())]
+                 lambda: NeighborIndex(edge_to_ancestor()),
+                 lambda: edge_to_ancestor().validate()]
         bad = []
         for i, call in enumerate(calls):
             try:
@@ -254,6 +284,35 @@ class TestDecodeSpark:
         with pytest.raises(PySparkException, match="self-pair"):
             decode(spark, edge_to_ancestor()).toPandas()
 
+    @pytest.mark.parametrize("sign", BAD_SIGNS)
+    def test_rejects_sign_outside_pm1(self, spark, sign):
+        # the rows are built on the driver, so the call itself raises
+        with pytest.raises(ValueError, match=f"has sign {sign}, not"):
+            decode(spark, bad_sign(sign))
+
+    def test_faulty_row_in_a_batch_of_several(self, spark):
+        # sound tree-pair rows (2i, 2i + 1) and one whose pair (0, 2k) is
+        # covered by (0, 2k) and by (0, top), top = {2k, 2k + 1}; with four
+        # rows per partition the faulty row shares its Arrow batch
+        k = 4 * spark.sparkContext.defaultParallelism
+        top = 2 * k + 2
+        s = summary(top, {top: [2 * k, 2 * k + 1]},
+                    [(2 * i, 2 * i + 1, 1) for i in range(k)] + [(0, 2 * k, 1), (0, top, 1)])
+
+        def batch_size(rows):
+            faulty = any((0, top, 1) in edges for edges, _ in rows)
+            return pd.DataFrame({"rows": [len(rows)], "faulty": [faulty]})
+
+        sizes = map_bundles(spark, tree_pair_rows(s), batch_size, "rows long, faulty boolean")
+        sizes = sizes.toPandas()
+        assert sizes.loc[sizes["faulty"], "rows"].item() > 1
+        with pytest.raises(ValueError) as local:
+            decode_pd(s)
+        assert "net coverage" in str(local.value)
+        with pytest.raises(PySparkException) as remote:
+            decode(spark, s).toPandas()
+        assert str(local.value) in str(remote.value)
+
     @pytest.mark.parametrize("make", BROKEN, ids=BROKEN_IDS)
     def test_same_fault_same_error(self, spark, make):
         # decode_pd raises ValueError; the Spark action carries its message
@@ -288,3 +347,91 @@ class TestDecodeSpark:
             jobs = tracker.getJobIdsForGroup(group)
             assert len(jobs) == 1
             assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1
+
+
+def counter_net_pairs(edges, members) -> list[tuple[int, int]]:
+    """Reference for ``_net_pairs``: one ``Counter`` entry per covered pair,
+    pair by pair, then the sorted pairs of net 1 (guards left out)."""
+    net: Counter[tuple[int, int]] = Counter()
+    for x, y, s in edges:
+        for u in members[x]:
+            for v in members[y]:
+                if x != y or u < v:
+                    net[(min(u, v), max(u, v))] += s
+    return sorted(k for k, c in net.items() if c == 1)
+
+
+def pairs(got: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int]]:
+    return list(zip(got[0].tolist(), got[1].tolist()))
+
+
+def assert_kernel_matches_reference(s: HierSummary) -> None:
+    """``_net_pairs`` over all p/n-edges and over each tree-pair row equals
+    the reference, and one ``_decode_rows`` pass over every row equals the
+    per-row counts concatenated."""
+    members = Forest.from_summary(s).members()
+    edges = checked_pedges(s, members)
+    assert pairs(_net_pairs(edges, members)) == counter_net_pairs(edges, members)
+    rows = tree_pair_rows(s)
+    per_row = [p for e, m in rows for p in pairs(_net_pairs(e, m))]
+    for e, m in rows:
+        assert pairs(_net_pairs(e, m)) == counter_net_pairs(e, m)
+    got = _decode_rows(rows)
+    assert sorted(zip(got["src"].tolist(), got["dst"].tolist())) == sorted(per_row)
+
+
+class TestNetPairs:
+    @given(kind=st.integers(0, 4), n=st.integers(20, 60), seed=st.integers(0, 10**6),
+           do_prune=st.booleans())
+    @settings(**SETTINGS)
+    def test_equals_reference_on_slugger(self, kind, n, seed, do_prune):
+        edges = random_graph(kind, n, seed)
+        s = slugger(edges, n, T=3, seed=seed % 97, engine="local", do_prune=do_prune).summary
+        assert_kernel_matches_reference(s)
+
+    @given(kind=st.integers(0, 4), n=st.integers(20, 60), seed=st.integers(0, 10**6),
+           n_groups=st.integers(1, 20))
+    @settings(**SETTINGS)
+    def test_equals_reference_on_encode_flat(self, kind, n, seed, n_groups):
+        edges = random_graph(kind, n, seed)
+        group = np.random.default_rng(seed).integers(0, n_groups, n)
+        assert_kernel_matches_reference(encode_flat(edges, group))
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_equals_reference_on_hand_built(self, name):
+        # n-edges, p-loops and trees several levels deep
+        assert_kernel_matches_reference(HAND_BUILT[name]())
+
+    def test_self_pair_guard_fires_before_net_guard(self):
+        # edge_to_ancestor plus a p-edge (0, 1): (0, 10) covers the
+        # self-pair (0, 0), and (0, 1) twice
+        s = summary(3, {10: [0, 1]}, [(0, 10, 1), (0, 2, 1), (0, 1, 1)])
+        with pytest.raises(ValueError, match="self-pair"):
+            decode_pd(s)
+
+    @staticmethod
+    def wide_ids(base: int) -> HierSummary:
+        """Subnodes base..base + 3, base + 0 and base + 1 under one
+        supernode with a p-loop, a p-edge from it to base + 2 masked at
+        base + 1, and a p-edge (base + 2, base + 3); only the listed
+        subnodes are in the nodes table."""
+        b0, b1, b2, b3 = range(base, base + 4)
+        top = base + 4
+        return HierSummary(
+            n_sub=top,
+            nodes=pd.DataFrame({"nid": [b0, b1, b2, b3, top], "size": [1, 1, 1, 1, 2]}),
+            hedges=pd.DataFrame({"parent": [top, top], "child": [b0, b1]}),
+            pedges=pd.DataFrame({"x": [b1, b2, top, top], "y": [b2, b3, b2, top],
+                                 "sign": [-1, 1, 1, 1]}))
+
+    def test_subnode_ids_above_2_pow_31(self):
+        base = 2**31 + 7
+        got = decode_pd(self.wide_ids(base))
+        assert list(zip(got["src"], got["dst"])) == [
+            (base, base + 1), (base, base + 2), (base + 2, base + 3)]
+        assert_kernel_matches_reference(self.wide_ids(base))
+
+    def test_pair_key_never_wraps(self):
+        # (2**32)**2 would wrap in int64
+        with pytest.raises(ValueError, match="too large for an int64 pair key"):
+            decode_pd(self.wide_ids(2**32))

@@ -151,7 +151,7 @@ class TestValidate:
     def test_detects_size_mismatch(self):
         s = tiny_summary()
         s.nodes.loc[s.nodes["nid"] == 10, "size"] = 5
-        with pytest.raises(AssertionError, match="size"):
+        with pytest.raises(ValueError, match="size"):
             s.validate()
 
     def test_detects_two_parents(self):
@@ -162,38 +162,38 @@ class TestValidate:
         s.hedges = pd.concat(
             [s.hedges, pd.DataFrame({"parent": [11], "child": [0]})], ignore_index=True
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             s.validate()
 
     def test_detects_childless_internal(self):
         s = tiny_summary()
         s.hedges = empty_hedges()
-        with pytest.raises(AssertionError, match="children"):
+        with pytest.raises(ValueError, match="children"):
             s.validate()
 
     def test_detects_bad_sign(self):
         s = tiny_summary()
         s.pedges.loc[0, "sign"] = 2
-        with pytest.raises(AssertionError, match="sign"):
+        with pytest.raises(ValueError, match="sign"):
             s.validate()
 
     def test_detects_noncanonical_pedge(self):
         s = tiny_summary()
         s.pedges = pd.DataFrame({"x": [10], "y": [2], "sign": [1]})
-        with pytest.raises(AssertionError, match="canonical"):
+        with pytest.raises(ValueError, match="canonical"):
             s.validate()
 
     def test_detects_duplicate_pedge(self):
         s = tiny_summary()
         s.pedges = pd.DataFrame({"x": [2, 2], "y": [10, 10], "sign": [1, 1]})
-        with pytest.raises(AssertionError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             s.validate()
 
     def test_detects_edge_to_ancestor(self):
         # {0, 1} under 10: (0, 10) would cover the self-pair (0, 0)
         s = tiny_summary()
         s.pedges = pd.DataFrame({"x": [0, 0], "y": [10, 2], "sign": [1, 1]})
-        with pytest.raises(AssertionError, match="ancestor"):
+        with pytest.raises(ValueError, match="ancestor"):
             s.validate()
 
     def test_detects_cycle_no_leaf_reaches(self):
@@ -205,5 +205,5 @@ class TestValidate:
         s.hedges = pd.concat(
             [s.hedges, pd.DataFrame({"parent": [3, 4], "child": [4, 3]})], ignore_index=True
         )
-        with pytest.raises(AssertionError, match="cycle"):
+        with pytest.raises(ValueError, match="cycle"):
             s.validate()
